@@ -17,7 +17,6 @@ from .cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
-    naive_maximal_cliques,
     verify_star_property,
 )
 from .confluence import (

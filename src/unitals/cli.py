@@ -116,7 +116,9 @@ def _deletion_set(plane: inc.IncidenceStructure, spec: str, q: int) -> set[int]:
     if spec == "line-swap":
         w = plane.blocks[0]
         u = w[0]
-        v = next(p for p in range(plane.num_points) if p not in w)
+        v = next((p for p in range(plane.num_points) if p not in w), None)
+        if v is None:
+            raise ValueError("--delete line-swap needs a point off block 0")
         return (set(w) - {u}) | {v}
     if spec == "conic":
         canonical = inc.projective_plane(q)
@@ -149,11 +151,8 @@ def cmd_build(args) -> int:
 def cmd_graph(args) -> int:
     S = inc.read_json(args.input)
     G = confl.build_confluence(S)
-    lines = ["c confluence graph: vertices are blocks, edges join blocks sharing a point"]
-    edges = G.edges()
-    lines.append(f"p edge {G.n} {len(edges)}")
-    lines.extend(f"e {i + 1} {j + 1}" for i, j in edges)
-    _emit("\n".join(lines) + "\n", args.output)
+    comment = "confluence graph: vertices are blocks, edges join blocks sharing a point"
+    _emit(confl.format_dimacs(G, (comment,)), args.output)
     return 0
 
 

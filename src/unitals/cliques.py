@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .confluence import ConfluenceGraph
-from .errors import GraphTooLarge, NotAClique, WrongCliqueSize
+from .confluence import ConfluenceGraph, _bits
+from .errors import MalformedStructure, NotAClique, WrongCliqueSize
 from .incidence import IncidenceStructure, near_pencil
 
 
@@ -96,32 +96,6 @@ def max_clique_size(G: ConfluenceGraph) -> int:
     return best
 
 
-def naive_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
-    """Independent oracle: unpivoted exhaustive recursion, n <= 64 only."""
-    if G.n > 64:
-        raise GraphTooLarge(f"naive enumeration limited to 64 vertices, got {G.n}")
-    rows = G.rows
-    out: list[tuple[int, ...]] = []
-
-    def expand(stack: list[int], P: int, X: int) -> None:
-        if P == 0 and X == 0:
-            out.append(tuple(stack))
-            return
-        m = P
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nv = rows[v]
-            expand(stack + [v], P & nv, X & nv)
-            P ^= low
-            X |= low
-
-    expand([], (1 << G.n) - 1, 0)
-    out.sort()
-    return out
-
-
 def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     """Tag a set of mutually intersecting blocks of S.
 
@@ -131,36 +105,38 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     near-pencil block set of some non-incident (point, block) pair.
     """
     members = tuple(sorted(set(clique)))
-    sets = [S.block_sets[i] for i in members]
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if not sets[a] & sets[b]:
-                raise NotAClique(
-                    f"blocks {members[a]} and {members[b]} are disjoint")
-    clique_set = frozenset(members)
+    rows, masks = S.block_rows, S.block_masks
+    mask = sum(1 << i for i in members)
+    for i in members:
+        disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
+        if disjoint:
+            j = (disjoint & -disjoint).bit_length() - 1
+            raise NotAClique(f"blocks {i} and {j} are disjoint")
     size = len(members)
 
-    common = set(sets[0]) if sets else set()
-    for t in sets[1:]:
-        common &= t
-    for p in sorted(common):
-        if frozenset(S.point_blocks[p]) == clique_set:
+    common = 0
+    if members:
+        common = masks[members[0]]
+        for i in members[1:]:
+            common &= masks[i]
+    pencils = S.pencil_masks
+    for p in _bits(common):
+        if pencils[p] == mask:
             return CliqueClassification(members, size, "pencil", point=p)
 
     if size >= 3:
         for L in members:
-            rest = [s for i, s in zip(members, sets) if i != L]
-            apex = set(rest[0])
-            for t in rest[1:]:
-                apex &= t
-            for p in sorted(apex):
-                if p in S.block_sets[L]:
-                    continue
+            # candidate apexes: points on every member but L, and not on L
+            apex = ~masks[L]
+            for i in members:
+                if i != L:
+                    apex &= masks[i]
+            for p in _bits(apex):
                 try:
-                    if frozenset(near_pencil(S, p, L)) == clique_set:
+                    if near_pencil(S, p, L) == members:
                         return CliqueClassification(
                             members, size, "near_pencil", point=p, line=L)
-                except Exception:
+                except MalformedStructure:
                     continue  # join missing: not a linear space around (p, L)
     note = "sub-pencil" if common else None
     return CliqueClassification(members, size, "other", note=note)
@@ -182,16 +158,15 @@ def verify_star_property(S: IncidenceStructure, clique, q: int) -> StarPropertyR
     members = tuple(sorted(set(clique)))
     if len(members) != q * q:
         raise WrongCliqueSize(f"clique has {len(members)} blocks, expected {q * q}")
-    member_sets = [S.block_sets[i] for i in members]
-    inside = set(members)
+    rows = S.block_rows
+    inside = sum(1 << i for i in members)
     failures = []
     outside = 0
     for b in range(len(S.blocks)):
-        if b in inside:
+        if inside >> b & 1:
             continue
         outside += 1
-        bs = S.block_sets[b]
-        met = sum(1 for ms in member_sets if ms & bs)
+        met = (rows[b] & inside).bit_count()
         if met != q + 1:
             failures.append((b, met))
     return StarPropertyReport(

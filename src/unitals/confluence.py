@@ -2,7 +2,9 @@
 
 The confluence graph of an incidence structure has one vertex per block;
 two vertices are adjacent iff their blocks share a point. Adjacency is
-stored as one bitset row (a Python int) per vertex.
+stored as one bitset row (a Python int) per vertex; build_confluence takes
+the rows from the structure's cached ``block_rows``, the library's one
+block-adjacency table (see unitals.incidence).
 
 For a unital of order q the graph is strongly regular with parameters
     v = q^2 (q^2 - q + 1),  k = (q+1)^2 (q-1),
@@ -13,7 +15,8 @@ exact integer roots of x^2 - (lambda - mu) x - (k - mu); no floating
 point is involved anywhere.
 
 Serialization: DIMACS graph format (``p edge n m`` header, ``e i j``
-lines with 1-based i < j, optional leading ``c`` comments).
+lines with 1-based i < j in strictly increasing order, optional leading
+``c`` comments).
 """
 
 from __future__ import annotations
@@ -113,18 +116,7 @@ class SrgParams:
 
 def build_confluence(S: IncidenceStructure) -> ConfluenceGraph:
     """Graph on the blocks of S; edges join blocks sharing a point."""
-    n = len(S.blocks)
-    rows = [0] * n
-    for through in S.point_blocks:
-        for a in range(len(through)):
-            i = through[a]
-            acc = 0
-            for b in range(a + 1, len(through)):
-                acc |= 1 << through[b]
-            rows[i] |= acc
-            for b in range(a + 1, len(through)):
-                rows[through[b]] |= 1 << i
-    return ConfluenceGraph(n, rows, provenance=repr(S))
+    return ConfluenceGraph(len(S.blocks), list(S.block_rows), provenance=repr(S))
 
 
 def srg_check(G: ConfluenceGraph) -> SrgParams | None:
@@ -208,20 +200,27 @@ def infer_order(G: ConfluenceGraph) -> int | None:
 
 # --- DIMACS ---
 
-def write_dimacs(G: ConfluenceGraph, path, comments: tuple[str, ...] = ()) -> None:
+def format_dimacs(G: ConfluenceGraph, comments: tuple[str, ...] = ()) -> str:
+    """DIMACS text of G: comment lines, the problem line, sorted edges."""
     edges = G.edges()
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p edge {G.n} {len(edges)}")
+    lines.extend(f"e {i + 1} {j + 1}" for i, j in edges)
+    return "\n".join(lines) + "\n"
+
+
+def write_dimacs(G: ConfluenceGraph, path, comments: tuple[str, ...] = ()) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"c {c}\n")
-        fh.write(f"p edge {G.n} {len(edges)}\n")
-        for i, j in edges:
-            fh.write(f"e {i + 1} {j + 1}\n")
+        fh.write(format_dimacs(G, comments))
 
 
 def read_dimacs(path) -> ConfluenceGraph:
+    """Strict reader: edges must be 1-based i < j, each line strictly after
+    the previous one in lexicographic order (so no duplicates)."""
     n = None
     m = None
     edges = []
+    last = (0, 0)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -246,8 +245,12 @@ def read_dimacs(path) -> ConfluenceGraph:
                     i, j = int(parts[1]), int(parts[2])
                 except ValueError:
                     raise FormatError(f"line {lineno}: non-integer endpoints") from None
-                if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                    raise FormatError(f"line {lineno}: edge ({i}, {j}) out of range")
+                if not 1 <= i < j <= n:
+                    raise FormatError(f"line {lineno}: edge ({i}, {j}) is not 1 <= i < j <= {n}")
+                if (i, j) <= last:
+                    raise FormatError(f"line {lineno}: edge ({i}, {j}) is not after "
+                                      f"the previous edge {last}")
+                last = (i, j)
                 edges.append((i - 1, j - 1))
             else:
                 raise FormatError(f"line {lineno}: unknown line type {parts[0]!r}")

@@ -11,6 +11,14 @@ GF(q), the affine plane AG(2,q), point-set deletions ("punctures"),
 the Hermitian unital of order q (absolute points of a unitary polarity
 of PG(2,q^2) with its secant-line sections), and duals.
 
+Derived tables, cached on each structure, are the one source of block
+adjacency, meets and pair coverage for the whole library: the bitsets
+``pencil_masks`` (blocks through each point), ``block_masks`` (points of
+each block) and ``block_rows`` (blocks meeting each block), and
+``pair_counts`` (blocks through each pair of points). Two blocks of a
+partial linear space meet in the single point of their masks' AND, and
+two points are joined by the single block of their pencil masks' AND.
+
 Configuration searches: pencils, near pencils, and the 4-line/6-point
 configuration in which every configuration line carries exactly 3 of the
 points and every point lies on exactly 2 of the lines.
@@ -88,23 +96,40 @@ class IncidenceStructure:
         return tuple(tuple(t) for t in through)
 
     @cached_property
-    def pair_block(self) -> dict[tuple[int, int], int]:
-        """Map from point pairs (a < b) covered exactly once to their block.
+    def pencil_masks(self) -> tuple[int, ...]:
+        """For each point, the bitset of the blocks through it."""
+        return tuple(sum(1 << i for i in through) for through in self.point_blocks)
 
-        Pairs covered more than once are absent; use validate() to detect
-        non-partial-linear structures.
-        """
-        seen: dict[tuple[int, int], int] = {}
-        dropped: set[tuple[int, int]] = set()
+    @cached_property
+    def block_masks(self) -> tuple[int, ...]:
+        """For each block, the bitset of its points."""
+        return tuple(sum(1 << p for p in block) for block in self.blocks)
+
+    @cached_property
+    def block_rows(self) -> tuple[int, ...]:
+        """For each block, the bitset of the other blocks it meets."""
+        pm = self.pencil_masks
+        rows = []
         for i, block in enumerate(self.blocks):
+            row = 0
+            for p in block:
+                row |= pm[p]
+            rows.append(row & ~(1 << i))
+        return tuple(rows)
+
+    @cached_property
+    def pair_counts(self) -> tuple[dict[int, int], ...]:
+        """For each point, a map from every point it shares a block with to
+        the number of blocks through both. Read-only."""
+        counts: list[dict[int, int]] = [{} for _ in range(self.num_points)]
+        for block in self.blocks:
             for j, a in enumerate(block):
+                ca = counts[a]
                 for b in block[j + 1:]:
-                    if (a, b) in seen or (a, b) in dropped:
-                        seen.pop((a, b), None)
-                        dropped.add((a, b))
-                    else:
-                        seen[(a, b)] = i
-        return seen
+                    ca[b] = ca.get(b, 0) + 1
+                    cb = counts[b]
+                    cb[a] = cb.get(a, 0) + 1
+        return tuple(counts)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IncidenceStructure)
@@ -142,22 +167,21 @@ class OnanConfiguration:
 
 def validate(S: IncidenceStructure) -> DesignReport:
     """Exhaustive pair scan; histograms plus linearity flags."""
-    coverage: Counter[tuple[int, int]] = Counter()
-    for block in S.blocks:
-        for j, a in enumerate(block):
-            for b in block[j + 1:]:
-                coverage[(a, b)] += 1
+    twice: Counter[int] = Counter()
+    for counts in S.pair_counts:
+        twice.update(counts.values())
+    # pair_counts holds every covered pair once from each end
+    hist = Counter({c: k // 2 for c, k in twice.items()})
+    covered = sum(hist.values())
     total_pairs = S.num_points * (S.num_points - 1) // 2
-    hist = Counter(coverage.values())
-    hist[0] = total_pairs - len(coverage)
-    if hist[0] == 0:
-        del hist[0]
+    if covered < total_pairs:
+        hist[0] = total_pairs - covered
     degrees = Counter(len(t) for t in S.point_blocks)
     sizes = Counter(len(b) for b in S.blocks)
     max_cov = max(hist) if hist else 0
     return DesignReport(
         is_partial_linear=max_cov <= 1,
-        is_linear_space=max_cov <= 1 and len(coverage) == total_pairs,
+        is_linear_space=max_cov <= 1 and covered == total_pairs,
         pair_coverage_histogram=dict(sorted(hist.items())),
         point_degree_histogram=dict(sorted(degrees.items())),
         block_size_histogram=dict(sorted(sizes.items())),
@@ -319,40 +343,22 @@ def near_pencil(S: IncidenceStructure, p: int, L: int) -> tuple[int, ...]:
     Requires S to be a linear space so that each join exists and is
     unique. In a unital of order q the result has q+2 blocks.
     """
+    if not 0 <= p < S.num_points:
+        raise InvalidPointSet(f"point {p} out of range")
     if not 0 <= L < len(S.blocks):
         raise InvalidPointSet(f"block {L} out of range")
     block = S.blocks[L]
     if p in block:
         raise IncidentPair(f"point {p} lies on block {L}")
+    pm = S.pencil_masks
     out = {L}
     for x in block:
-        key = (p, x) if p < x else (x, p)
-        join = S.pair_block.get(key)
-        if join is None:
+        join = pm[p] & pm[x]
+        if not join or join & (join - 1):
             raise MalformedStructure(
                 f"no unique block joins {p} and {x}; not a linear space")
-        out.add(join)
+        out.add(join.bit_length() - 1)
     return tuple(sorted(out))
-
-
-def _block_adjacency(S: IncidenceStructure) -> tuple[list[int], dict[int, int]]:
-    """Bitset adjacency over blocks plus the meet point of adjacent pairs.
-
-    Keyed (i << 20) | j with i < j; only valid for partial linear spaces,
-    where two blocks meet in at most one point.
-    """
-    nb = len(S.blocks)
-    rows = [0] * nb
-    meet: dict[int, int] = {}
-    for p, through in enumerate(S.point_blocks):
-        for a in range(len(through)):
-            i = through[a]
-            for b in range(a + 1, len(through)):
-                j = through[b]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                meet[(i << 20) | j] = p
-    return rows, meet
 
 
 def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
@@ -360,34 +366,41 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
 
     Enumeration is exhaustive in lexicographic order over sorted block
     quadruples; a positive `limit` stops after that many hits. The input
-    must be a partial linear space.
+    must be a partial linear space, so two meeting blocks share exactly
+    one point: the single bit of their block masks' AND.
     """
     if not validate(S).is_partial_linear:
         raise ValueError("input is not a partial linear space")
-    rows, meet = _block_adjacency(S)
+    rows, masks = S.block_rows, S.block_masks
     nb = len(S.blocks)
     found: list[OnanConfiguration] = []
     for i in range(nb):
+        bi = masks[i]
         above_i = rows[i] >> (i + 1) << (i + 1)
         mj = above_i
         while mj:
             jbit = mj & -mj
             j = jbit.bit_length() - 1
             mj ^= jbit
+            bj = masks[j]
+            ij = (bi & bj).bit_length() - 1
             cand_k = above_i & rows[j] >> (j + 1) << (j + 1)
             mk = cand_k
             while mk:
                 kbit = mk & -mk
                 k = kbit.bit_length() - 1
                 mk ^= kbit
+                bk = masks[k]
+                ik = (bi & bk).bit_length() - 1
+                jk = (bj & bk).bit_length() - 1
                 ml = cand_k & rows[k] >> (k + 1) << (k + 1)
                 while ml:
                     lbit = ml & -ml
                     l = lbit.bit_length() - 1
                     ml ^= lbit
-                    pts = (meet[(i << 20) | j], meet[(i << 20) | k],
-                           meet[(i << 20) | l], meet[(j << 20) | k],
-                           meet[(j << 20) | l], meet[(k << 20) | l])
+                    bl = masks[l]
+                    pts = (ij, ik, (bi & bl).bit_length() - 1, jk,
+                           (bj & bl).bit_length() - 1, (bk & bl).bit_length() - 1)
                     if len(set(pts)) == 6:
                         found.append(OnanConfiguration(
                             blocks=(i, j, k, l), points=tuple(sorted(pts))))
@@ -414,13 +427,13 @@ def from_json_dict(data: dict) -> IncidenceStructure:
     if not isinstance(data, dict) or data.get("format") != "incidence-v1":
         raise FormatError('missing or wrong "format" key (want "incidence-v1")')
     n = data.get("num_points")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # bool is an int subclass; JSON true is not a count
         raise FormatError('"num_points" must be a non-negative integer')
     blocks = data.get("blocks")
     if not isinstance(blocks, list):
         raise FormatError('"blocks" must be an array')
     for block in blocks:
-        if not isinstance(block, list) or not all(isinstance(x, int) for x in block):
+        if not isinstance(block, list) or not all(type(x) is int for x in block):
             raise FormatError(f"block {block!r} is not an array of integers")
         if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
             raise FormatError(f"block {block} is not strictly increasing")

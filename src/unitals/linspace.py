@@ -107,12 +107,13 @@ def check_assumptions(D: IncidenceStructure, q: int) -> AssumptionReport:
 def projective_lines(D: IncidenceStructure, q: int) -> tuple[int, ...]:
     """All lines with q+1 points; asserts each meets every other line."""
     full = tuple(i for i, b in enumerate(D.blocks) if len(b) == q + 1)
+    every = (1 << len(D.blocks)) - 1
     for i in full:
-        row = D.block_sets[i]
-        for j, other in enumerate(D.block_sets):
-            if not row & other:
-                raise LemmaViolation(
-                    f"size-(q+1) line {i} misses line {j}; input corrupted")
+        missed = every & ~D.block_rows[i] & ~(1 << i)
+        if missed:
+            j = (missed & -missed).bit_length() - 1
+            raise LemmaViolation(
+                f"size-(q+1) line {i} misses line {j}; input corrupted")
     return full
 
 
@@ -216,7 +217,7 @@ def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
     for i in range(nb):
         if i not in unassigned:
             continue
-        cls = [j for j in range(nb) if j == i or not (sets[i] & sets[j])]
+        cls = [j for j in range(nb) if j == i or not D.block_rows[i] >> j & 1]
         covered: set[int] = set()
         for j in cls:
             if sets[j] & covered or j not in unassigned:
@@ -258,7 +259,7 @@ def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitne
     for p in range(D.num_points):
         if p in s_row:
             continue
-        cand = [i for i in D.point_blocks[p] if not (D.block_sets[i] & s_row)]
+        cand = [i for i in D.point_blocks[p] if not D.block_rows[s_line] >> i & 1]
         if len(cand) != 1:
             raise ConstructionFailed(
                 f"point {p} lies on {len(cand)} lines missing the short line; "

@@ -142,17 +142,7 @@ def _refined_colors(S1: IncidenceStructure,
     isomorphic); otherwise the stable coloring.
     """
     n = S1.num_points
-
-    def common_counts(S):
-        counts = [dict() for _ in range(n)]
-        for block in S.blocks:
-            for i, a in enumerate(block):
-                for b in block[i + 1:]:
-                    counts[a][b] = counts[a].get(b, 0) + 1
-                    counts[b][a] = counts[b].get(a, 0) + 1
-        return counts
-
-    cc1, cc2 = common_counts(S1), common_counts(S2)
+    cc1, cc2 = S1.pair_counts, S2.pair_counts
 
     def initial(S):
         return [(len(S.point_blocks[p]),

@@ -1,6 +1,7 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
 from unitals.confluence import ConfluenceGraph
+from unitals.errors import GraphTooLarge
 
 
 def lcg(seed: int):
@@ -36,5 +37,31 @@ def subset_filter_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
                for v in range(n) if v not in inside):
             continue
         out.append(tuple(members))
+    out.sort()
+    return out
+
+
+def naive_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
+    """Independent oracle: unpivoted exhaustive recursion, n <= 64 only."""
+    if G.n > 64:
+        raise GraphTooLarge(f"naive enumeration limited to 64 vertices, got {G.n}")
+    rows = G.rows
+    out: list[tuple[int, ...]] = []
+
+    def expand(stack: list[int], P: int, X: int) -> None:
+        if P == 0 and X == 0:
+            out.append(tuple(stack))
+            return
+        m = P
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            nv = rows[v]
+            expand(stack + [v], P & nv, X & nv)
+            P ^= low
+            X |= low
+
+    expand([], (1 << G.n) - 1, 0)
     out.sort()
     return out

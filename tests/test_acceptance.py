@@ -9,13 +9,12 @@ import time
 from collections import Counter
 from itertools import combinations
 
-from support import sweep_graph
+from support import naive_maximal_cliques, sweep_graph
 
 from unitals.cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
-    naive_maximal_cliques,
     verify_star_property,
 )
 from unitals.confluence import (

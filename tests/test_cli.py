@@ -205,6 +205,15 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+def test_line_swap_without_a_point_off_block_0_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"format": "incidence-v1", "num_points": 3,
+                                "blocks": [[0, 1, 2]]}))
+    assert run("build", "puncture", "--q", "2", "--in", str(path),
+               "--delete", "line-swap") == 2
+    assert "line-swap" in capsys.readouterr().err
+
+
 def test_bad_json_is_usage_error(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{not json")

@@ -1,13 +1,12 @@
 """Clique enumeration, the naive oracle, classification, star check."""
 
 import pytest
-from support import subset_filter_cliques, sweep_graph
+from support import naive_maximal_cliques, subset_filter_cliques, sweep_graph
 
 from unitals.cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
-    naive_maximal_cliques,
     verify_star_property,
 )
 from unitals.confluence import ConfluenceGraph

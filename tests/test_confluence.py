@@ -201,6 +201,9 @@ def test_dimacs_reader_accepts_comments_and_blanks(tmp_path):
     "p edge 3 2\ne 1 2\n",           # edge count mismatch
     "p edge 3 1\nq 1 2\n",           # unknown line type
     "p edge 3 0\np edge 3 0\n",      # repeated header
+    "p edge 3 2\ne 1 2\ne 1 2\n",      # duplicate edge
+    "p edge 3 1\ne 2 1\n",           # reversed endpoints
+    "p edge 3 2\ne 2 3\ne 1 2\n",      # edges out of order
 ])
 def test_dimacs_reader_rejects(text, tmp_path):
     path = tmp_path / "bad.dimacs"

@@ -348,6 +348,8 @@ def test_json_round_trip(h3, tmp_path):
     lambda d: d["blocks"].sort(reverse=True),              # outer order broken
     lambda d: d["blocks"].append(d["blocks"][-1]),         # duplicate
     lambda d: d.update(labels=["x"]),                      # wrong label count
+    lambda d: (d.update(num_points=True, blocks=[]), d.pop("labels")),  # bool count
+    lambda d: d["blocks"].__setitem__(0, [False, True]),   # bool points
 ])
 def test_json_reader_rejects_violations(mangle):
     good = to_json_dict(affine_plane(2))
