@@ -11,7 +11,7 @@ Library layout:
   cli          command-line interface (`unitals ...`)
 """
 
-from .algebra import FieldElement, FieldSpec, conjugate, field_create, quadratic_extension
+from .algebra import FieldSpec, field_create, quadratic_extension
 from .cliques import (
     CliqueClassification,
     classify_clique,

@@ -8,8 +8,9 @@ plain integer equality and elements are always in canonical reduced form.
 
 Each field precomputes discrete exp/log tables for its multiplicative
 group at construction (an internal cache; the defining arithmetic is
-polynomial arithmetic mod the irreducible). Multiplication, inversion and
-powering are then table lookups. Field size is capped at 2**16.
+polynomial arithmetic mod the irreducible). Multiplication and powering
+(inversion is the power -1) are then table lookups. Field size is capped
+at 2**16.
 
 A field meant to act as the quadratic extension GF(q^2) over GF(q) is
 created with ``quadratic_extension(q)``; it records the base order q
@@ -25,12 +26,11 @@ division by all monic polynomials of degree 1..e//2.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence
 
 from .errors import (
     CompositeCharacteristic,
     DivisionByZero,
-    MixedFields,
     NotPrimePower,
     NotQuadraticExtension,
     TooLarge,
@@ -216,7 +216,7 @@ class FieldSpec:
             n >>= 1
         return result
 
-    # -- index-level arithmetic (used by FieldElement and hot loops) --
+    # -- arithmetic on integer encodings --
 
     def add_idx(self, a: int, b: int) -> int:
         p = self.p
@@ -226,28 +226,11 @@ class FieldSpec:
             idx = idx * p + (da[i] + db[i]) % p
         return idx
 
-    def neg_idx(self, a: int) -> int:
-        p = self.p
-        da = self._digits[a]
-        idx = 0
-        for i in range(self.e - 1, -1, -1):
-            idx = idx * p + (-da[i]) % p
-        return idx
-
-    def sub_idx(self, a: int, b: int) -> int:
-        return self.add_idx(a, self.neg_idx(b))
-
     def mul_idx(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         n = self.order - 1
         return self._exp[(self._log[a] + self._log[b]) % n]
-
-    def inv_idx(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        n = self.order - 1
-        return self._exp[(-self._log[a]) % n]
 
     def pow_idx(self, a: int, n: int) -> int:
         if n == 0:
@@ -264,33 +247,6 @@ class FieldSpec:
             raise NotQuadraticExtension(
                 f"GF({self.order}) carries no base-field tag")
         return self.pow_idx(a, self.base_order)
-
-    # -- element construction --
-
-    def element(self, value: Union[int, Iterable[int]]) -> "FieldElement":
-        """Element from an integer encoding or a coefficient sequence."""
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"encoding {value} out of range for GF({self.order})")
-            return FieldElement(self, value)
-        coeffs = list(value)
-        if len(coeffs) > self.e:
-            raise ValueError(f"coefficient vector longer than degree {self.e}")
-        coeffs += [0] * (self.e - len(coeffs))
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + c % self.p
-        return FieldElement(self, idx)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for idx in range(self.order):
-            yield FieldElement(self, idx)
 
     # -- identity --
 
@@ -309,93 +265,6 @@ class FieldSpec:
         return f"GF({self.order})=GF({self.p}^{self.e})"
 
 
-class FieldElement:
-    """Immutable element of a FieldSpec, stored by integer encoding."""
-
-    __slots__ = ("spec", "idx")
-
-    def __init__(self, spec: FieldSpec, idx: int):
-        self.spec = spec
-        self.idx = idx
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Little-endian coefficient vector of length e."""
-        return self.spec._digits[self.idx]
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise MixedFields(f"{self.spec!r} vs {other.spec!r}")
-            return other.idx
-        if isinstance(other, int):
-            return other % self.spec.p  # prime-subfield embedding
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add_idx(self.idx, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_idx(self.idx, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_idx(b, self.idx))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_idx(self.idx, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_idx(self.idx, self.spec.inv_idx(b)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_idx(self.idx))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.spec, self.spec.pow_idx(self.idx, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_idx(self.idx))
-
-    def conjugate(self) -> "FieldElement":
-        """Image under x -> x**q when the field is tagged GF(q^2)."""
-        return FieldElement(self.spec, self.spec.conj_idx(self.idx))
-
-    def is_zero(self) -> bool:
-        return self.idx == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == other % self.spec.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.idx, self.spec.order))
-
-    def __repr__(self) -> str:
-        return f"{self.spec!r}[{self.idx}]"
-
-
 def field_create(p: int, e: int) -> FieldSpec:
     """GF(p^e) with the deterministic least irreducible polynomial."""
     return FieldSpec(p, e)
@@ -409,7 +278,3 @@ def quadratic_extension(q: int) -> FieldSpec:
     p, f = pe
     return FieldSpec(p, 2 * f, base_order=q)
 
-
-def conjugate(a: FieldElement) -> FieldElement:
-    """a**q in a field tagged as GF(q^2) over GF(q)."""
-    return a.conjugate()

@@ -106,10 +106,6 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _structure_json(S: inc.IncidenceStructure) -> str:
-    return json.dumps(inc.to_json_dict(S), indent=1) + "\n"
-
-
 def _deletion_set(plane: inc.IncidenceStructure, spec: str, q: int) -> set[int]:
     if spec == "line":
         return set(plane.blocks[0])
@@ -144,7 +140,7 @@ def cmd_build(args) -> int:
             raise ValueError("puncture requires --delete")
         plane = inc.read_json(args.input) if args.input else inc.projective_plane(args.q)
         out = inc.puncture(plane, _deletion_set(plane, args.delete, args.q))
-    _emit(_structure_json(out), args.output)
+    _emit(inc.format_json(out), args.output)
     return 0
 
 
@@ -263,7 +259,7 @@ def cmd_classify_linspace(args) -> int:
 def cmd_reconstruct(args) -> int:
     G = confl.read_dimacs(args.input)
     result = rec.reconstruct_unital(G)
-    _emit(_structure_json(result.structure), args.output)
+    _emit(inc.format_json(result.structure), args.output)
     if args.output is not None:
         note = " (order-2 shortcut)" if result.via_q2_shortcut else ""
         print(f"reconstructed unital of order {result.q}: "

@@ -23,10 +23,6 @@ class DivisionByZero(GeometryError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class MixedFields(GeometryError):
-    """Operands belong to different fields."""
-
-
 class NotQuadraticExtension(GeometryError):
     """Conjugation requires a field tagged as GF(q^2) over GF(q)."""
 
@@ -73,10 +69,6 @@ class NotAClique(GeometryError):
 
 class WrongCliqueSize(GeometryError):
     """The clique does not have the size required by the check."""
-
-
-class GraphTooLarge(GeometryError):
-    """The graph exceeds the size bound of the naive algorithm."""
 
 
 # --- linear space classification ---

@@ -23,7 +23,8 @@ Configuration searches: pencils, near pencils, and the 4-line/6-point
 configuration in which every configuration line carries exactly 3 of the
 points and every point lies on exactly 2 of the lines.
 
-Serialization: the ``incidence-v1`` JSON format (see read_json/write_json).
+Serialization: the ``incidence-v1`` JSON format (see read_json, and
+format_json, which write_json writes and the CLI emits).
 """
 
 from __future__ import annotations
@@ -450,10 +451,14 @@ def from_json_dict(data: dict) -> IncidenceStructure:
     return IncidenceStructure(n, blocks, labels=labels)
 
 
+def format_json(S: IncidenceStructure) -> str:
+    """incidence-v1 text of S, one-space indented, with a final newline."""
+    return json.dumps(to_json_dict(S), indent=1) + "\n"
+
+
 def write_json(S: IncidenceStructure, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(S), fh, indent=1)
-        fh.write("\n")
+        fh.write(format_json(S))
 
 
 def read_json(path) -> IncidenceStructure:

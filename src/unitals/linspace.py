@@ -324,11 +324,7 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
         raise ValueError("input is not in the full-pencils case")
     host = projective_plane(q)
     nh = host.num_points
-    join: dict[tuple[int, int], int] = {}
-    for li, row in enumerate(host.blocks):
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                join[(row[a], row[b])] = li
+    host_pencils = host.pencil_masks
 
     assign: list[int | None] = [None] * n
     used = [False] * nh
@@ -362,8 +358,8 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
             newlines: dict[int, int] = {}
             ok = True
             for b, img in singles:
-                key = (img, h) if img < h else (h, img)
-                li = join[key]
+                # the join of two host points: the single bit of their pencils
+                li = (host_pencils[img] & host_pencils[h]).bit_length() - 1
                 if li in newlines or claimed.get(li, b) != b:
                     ok = False
                     break

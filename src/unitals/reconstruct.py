@@ -278,16 +278,31 @@ def isomorphic(S1: IncidenceStructure,
         return [h for h in sorted(allowed) if not used[h] and inv2[h] == inv1[p]]
 
     def search() -> bool:
+        """Depth-first search on an explicit stack (its depth reaches the
+        point count). A frame is [point, remaining candidates, applied
+        (candidate, journal) or None]."""
         p = pick()
         if p is None:
             return True
-        for h in candidates(p):
-            journal = try_assign(p, h)
-            if journal is None:
+        stack = [[p, iter(candidates(p)), None]]
+        while stack:
+            frame = stack[-1]
+            p, remaining, applied = frame
+            if applied is not None:  # the deeper search failed
+                undo(p, *applied)
+                frame[2] = None
+            for h in remaining:
+                journal = try_assign(p, h)
+                if journal is not None:
+                    frame[2] = (h, journal)
+                    break
+            else:
+                stack.pop()
                 continue
-            if search():
+            p = pick()
+            if p is None:
                 return True
-            undo(p, h, journal)
+            stack.append([p, iter(candidates(p)), None])
         return False
 
     if not search():

@@ -1,7 +1,11 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
 from unitals.confluence import ConfluenceGraph
-from unitals.errors import GraphTooLarge
+from unitals.errors import GeometryError
+
+
+class GraphTooLarge(GeometryError):
+    """The graph exceeds the size bound of the naive algorithm."""
 
 
 def lcg(seed: int):

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from unitals.algebra import (
     FieldSpec,
-    conjugate,
     field_create,
     is_prime,
     prime_power,
@@ -16,7 +13,6 @@ from unitals.algebra import (
 from unitals.errors import (
     CompositeCharacteristic,
     DivisionByZero,
-    MixedFields,
     NotPrimePower,
     NotQuadraticExtension,
     TooLarge,
@@ -60,81 +56,66 @@ def test_create_rejects_oversized_field():
 
 def test_gf9_inverse_law():
     F = field_create(3, 2)
-    for a in F.elements():
-        if not a.is_zero():
-            assert a * a.inverse() == F.one()
+    for a in range(1, F.order):
+        assert F.mul_idx(a, F.pow_idx(a, -1)) == 1
 
 
 def test_gf4_multiplicative_group_order():
     F = field_create(2, 2)
-    for g in F.elements():
-        if g.idx not in (0, 1):
-            assert g**3 == F.one()
-            assert g**2 != F.one()
+    for g in range(2, F.order):
+        assert F.pow_idx(g, 3) == 1
+        assert F.pow_idx(g, 2) != 1
 
 
 def test_gf9_frobenius_fixes_field():
     F = field_create(3, 2)
-    for a in F.elements():
-        assert a**9 == a
+    for a in range(F.order):
+        assert F.pow_idx(a, 9) == a
 
 
 def test_division_by_zero():
     F = field_create(5, 1)
     with pytest.raises(DivisionByZero):
-        F.zero().inverse()
+        F.pow_idx(0, -1)
     with pytest.raises(DivisionByZero):
-        F.zero() ** -1
-
-
-def test_mixed_fields_rejected():
-    a = field_create(3, 1).one()
-    b = field_create(5, 1).one()
-    with pytest.raises(MixedFields):
-        a + b
+        F.pow_idx(0, -2)
 
 
 def test_negative_powers():
     F = field_create(7, 1)
-    a = F.element(3)
-    assert a**-1 == a.inverse()
-    assert a**-2 == (a * a).inverse()
-
-
-def test_coeffs_canonical():
-    F = field_create(3, 2)
-    a = F.element([2, 1])
-    assert a.coeffs == (2, 1)
-    assert F.element(5).coeffs == (2, 1)  # 2 + 1*3
+    a = 3
+    inv = F.pow_idx(a, -1)
+    assert inv == pow(a, -1, 7)  # GF(7) encodings are the integers mod 7
+    assert F.pow_idx(a, -2) == F.pow_idx(F.mul_idx(a, a), -1) == F.mul_idx(inv, inv)
 
 
 # --- conjugation ---
 
 def test_conjugate_is_involution_gf9():
     K = quadratic_extension(3)
-    for a in K.elements():
-        assert conjugate(a) == a**3
-        assert conjugate(conjugate(a)) == a
+    for a in range(K.order):
+        assert K.conj_idx(a) == K.pow_idx(a, 3)
+        assert K.conj_idx(K.conj_idx(a)) == a
 
 
 def test_conjugate_fixed_field_size():
     K = quadratic_extension(3)
-    assert sum(1 for a in K.elements() if conjugate(a) == a) == 3
+    assert sum(1 for a in range(K.order) if K.conj_idx(a) == a) == 3
 
 
 def test_gf4_norm_lands_in_subfield():
     K = quadratic_extension(2)
-    for a in K.elements():
-        assert conjugate(a) == a**2
-        norm = a * conjugate(a)
-        assert conjugate(norm) == norm  # fixed by the automorphism
-        assert norm.idx in (0, 1)
+    for a in range(K.order):
+        assert K.conj_idx(a) == K.pow_idx(a, 2)
+        norm = K.mul_idx(a, K.conj_idx(a))
+        assert K.conj_idx(norm) == norm  # fixed by the automorphism
+        assert norm in (0, 1)
 
 
 def test_conjugate_requires_tag():
     F = field_create(3, 2)  # same field as GF(9) but untagged
     with pytest.raises(NotQuadraticExtension):
-        F.one().conjugate()
+        F.conj_idx(1)
 
 
 def test_quadratic_extension_rejects_non_prime_power():
@@ -237,15 +218,3 @@ def test_prime_field_tables_match_integer_arithmetic(p):
     idx = np.arange(p, dtype=np.int64)
     assert (add == (idx[:, None] + idx[None, :]) % p).all()
     assert (mul == (idx[:, None] * idx[None, :]) % p).all()
-
-
-@given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
-@settings(max_examples=60, deadline=None)
-def test_gf16_axioms_on_samples(ai, bi, ci):
-    F = field_create(2, 4)
-    a, b, c = F.element(ai), F.element(bi), F.element(ci)
-    assert a * (b + c) == a * b + a * c
-    assert (a * b) * c == a * (b * c)
-    assert a - a == F.zero()
-    if not b.is_zero():
-        assert (a / b) * b == a

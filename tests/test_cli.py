@@ -163,6 +163,17 @@ def test_isomorphic_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
+def test_isomorphic_search_depth_is_not_bounded_by_recursion(tmp_path, capsys):
+    # a path's search goes one level deeper per point, far past the
+    # interpreter's default recursion limit of 1,000
+    n = 1200
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"format": "incidence-v1", "num_points": n,
+                                "blocks": [[i, i + 1] for i in range(n - 1)]}))
+    assert run("isomorphic", str(path), str(path)) == 0
+    assert json.loads(capsys.readouterr().out) == list(range(n))
+
+
 def test_reconstruct_rejects_non_unital_graph(tmp_path):
     bad = tmp_path / "bad.dimacs"
     bad.write_text("p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")

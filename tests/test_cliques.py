@@ -1,7 +1,12 @@
 """Clique enumeration, the naive oracle, classification, star check."""
 
 import pytest
-from support import naive_maximal_cliques, subset_filter_cliques, sweep_graph
+from support import (
+    GraphTooLarge,
+    naive_maximal_cliques,
+    subset_filter_cliques,
+    sweep_graph,
+)
 
 from unitals.cliques import (
     classify_clique,
@@ -10,7 +15,7 @@ from unitals.cliques import (
     verify_star_property,
 )
 from unitals.confluence import ConfluenceGraph
-from unitals.errors import GraphTooLarge, NotAClique, WrongCliqueSize
+from unitals.errors import NotAClique, WrongCliqueSize
 from unitals.incidence import near_pencil, pencil
 
 
