@@ -36,6 +36,8 @@ INPUTS = {
     "ag3-swap": ("build", "puncture", "--q", "3", "--delete", "line-swap"),
     "pg3-conic": ("build", "puncture", "--q", "3", "--delete", "conic"),
     "pg4-conic": ("build", "puncture", "--q", "4", "--delete", "conic"),
+    "ag4-line": ("build", "puncture", "--q", "4", "--delete", "line"),
+    "ag4-swap": ("build", "puncture", "--q", "4", "--delete", "line-swap"),
 }
 
 
@@ -60,9 +62,10 @@ def _cases():
     cases["graph-h2-stdout"] = ("graph", "{h2}")
     cases["srg-h3-mismatch"] = ("srg", "{h3}", "--expect-unital", "4")
     cases["onan-pg4-conic"] = ("onan", "{pg4-conic}")
-    for name in ("ag3-line", "ag3-swap", "pg3-conic"):
-        cases[f"classify-linspace-{name}"] = ("classify-linspace", f"{{{name}}}", "--q", "3",
-                                              "--embed", "--json", "report.json")
+    for q in (3, 4):
+        for name in (f"ag{q}-line", f"ag{q}-swap", f"pg{q}-conic"):
+            cases[f"classify-linspace-{name}"] = ("classify-linspace", f"{{{name}}}", "--q",
+                                                  str(q), "--embed", "--json", "report.json")
     for q in (2, 3):
         cases[f"reconstruct-h{q}"] = ("reconstruct", f"{{h{q}-dimacs}}", "-o", "rebuilt.json",
                                       "--verify", f"{{h{q}}}")
@@ -86,7 +89,10 @@ GOLDEN = {
     "build-pg-4": "3a34489be3a3338f265c3d37a44e4437ec2d4df766d540486b51fd75c699dd68",
     "classify-linspace-ag3-line": "884b70ae93af5823f98ee084a5f563a3242d67a8aa0e3dc30d731c01cc680c8f",
     "classify-linspace-ag3-swap": "1ff42fd04bcee7b6715d584ac8f6105736ef9c617b9dc1c9594151161e84184d",
+    "classify-linspace-ag4-line": "d4fd2ff04bed2022a7db79e794f8f5f3ec3eb3be5dfb66b123256b741ba5c497",
+    "classify-linspace-ag4-swap": "3e4617cf66240674400973f42bba7d527a24105d8ff212faf56ecb85651d0e4c",
     "classify-linspace-pg3-conic": "812cccefc80bca7a213e450e707c8a73cbfe1e2790423191cbedd5296a65b9d3",
+    "classify-linspace-pg4-conic": "18579a45bba28cfee818a89d4ba864772e067e5e9b88a47a9052a1e5ef85c645",
     "cliques-classify-ag3-minus-class": "6c24fa34de0b98230760ab17986718cf6ba569ad5d04a85d3b6647d9ee67a47b",
     "cliques-classify-h2": "cc3da1deb1192aa0608f0daeb6f67c7cf97928eed9c34c72e7e231feaa327a2c",
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",

@@ -1,11 +1,24 @@
 """Unital reconstruction, graph-isomorphism extension, structure isomorphism."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from unitals.cliques import enumerate_maximal_cliques
 from unitals.confluence import ConfluenceGraph, build_confluence
 from unitals.errors import NotAGraphIsomorphism, NotAUnitalGraph
-from unitals.incidence import IncidenceStructure, affine_plane, validate, validate_unital
+from unitals.incidence import (
+    IncidenceStructure,
+    affine_plane,
+    conic_points,
+    hermitian_unital,
+    projective_plane,
+    puncture,
+    validate,
+    validate_unital,
+)
 from unitals.reconstruct import (
     extend_graph_isomorphism,
     isomorphic,
@@ -53,6 +66,48 @@ def _check_witness(S1, S2, witness):
     assert sorted(witness) == list(range(S1.num_points))
     mapped = sorted(tuple(sorted(witness[x] for x in b)) for b in S1.blocks)
     assert mapped == list(S2.blocks)
+
+
+# sha256 of the JSON list of witnesses isomorphic(relabelled, original) over
+# RELABEL_SEEDS; any change of the search's pick rule or candidate order
+# shows up here even when every witness stays valid
+WITNESS_DIGESTS = {
+    "h3": "466f40657799f34666d0decaafd9dcaac5ab0823fbd9f711bc4f8d1eba934c94",
+    "pg4": "a218eab694d2ac336fd28ba5a3c6012732277830880a94068053bd2145f96d19",
+    "pg4-conic": "9e25e3419c21cdd7cec517e91c34fc11a64551959fcc84a69c1a33429ecc0601",
+}
+RELABEL_SEEDS = range(16)
+
+
+def _witness_original(name):
+    if name == "h3":
+        return hermitian_unital(3)
+    if name == "pg4":
+        return projective_plane(4)
+    return puncture(projective_plane(4), conic_points(4))  # the full-pencils case
+
+
+def _seeded_relabelling(S, seed):
+    perm = list(range(S.num_points))
+    random.Random(seed).shuffle(perm)
+    return IncidenceStructure(S.num_points, [[perm[x] for x in b] for b in S.blocks])
+
+
+def _witnesses(name):
+    original = _witness_original(name)
+    out = []
+    for seed in RELABEL_SEEDS:
+        relabelled = _seeded_relabelling(original, seed)
+        witness = isomorphic(relabelled, original)
+        _check_witness(relabelled, original, witness)
+        out.append(witness)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
+def test_isomorphic_witnesses_are_pinned(name):
+    text = json.dumps(_witnesses(name)).encode()
+    assert hashlib.sha256(text).hexdigest() == WITNESS_DIGESTS[name]
 
 
 def _pasch_configs(S):
