@@ -6,7 +6,8 @@ produce byte-identical files.
 
 Exit codes: 0 on success, 1 when a checked verification property fails
 (wrong parameters, configurations found against --expect-none, failed
-reconstruction or isomorphism), 2 on usage or I/O errors.
+reconstruction or isomorphism), 2 on usage or I/O errors, 3 on any other
+exception (an internal error, such as running out of memory).
 """
 
 from __future__ import annotations
@@ -312,6 +313,9 @@ def main(argv=None) -> int:
     except (GeometryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Maximal-clique enumeration and structural classification.
 
-The enumerator is a pivoted recursive branch-and-bound over bitset
-candidate/excluded sets. The pivot is the candidate vertex with the most
-neighbors among the remaining candidates, lowest index on ties, so the
-enumeration order is reproducible. Cliques are emitted sorted ascending
-and the final stream is sorted lexicographically.
+The enumerator is a pivoted branch-and-bound over bitset candidate/excluded
+sets, drained from a flat worklist (no recursion, so no depth limit). The
+pivot is the candidate with the most neighbors among the candidates,
+lowest index on ties. Cliques are emitted sorted ascending and the final
+stream is sorted lexicographically.
 
 In the confluence graph of a linear space, a clique is a set of mutually
 intersecting blocks. Each maximal clique is classified as a pencil (all
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .confluence import ConfluenceGraph, _bits
+from .confluence import ConfluenceGraph
 from .errors import MalformedStructure, NotAClique, WrongCliqueSize
-from .incidence import IncidenceStructure, near_pencil
+from .incidence import IncidenceStructure, _bits, _common, near_pencil
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,11 @@ def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
         return []
     rows = G.rows
     out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def expand(P: int, X: int) -> None:
-        if P == 0:
-            if X == 0:
-                out.append(tuple(sorted(stack)))
-            return
+    # (clique so far, candidates P != 0, excluded X); the output is sorted at
+    # the end, so the order in which the worklist is drained does not matter
+    work: list[tuple[tuple[int, ...], int, int]] = [((), (1 << n) - 1, 0)]
+    while work:
+        clique, P, X = work.pop()
         # pivot: candidate with most neighbors among candidates
         best_u, best = -1, -1
         m = P
@@ -64,36 +62,36 @@ def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
             v = low.bit_length() - 1
             branch ^= low
             nv = rows[v]
-            stack.append(v)
-            expand(P & nv, X & nv)
-            stack.pop()
+            if P & nv:
+                work.append((clique + (v,), P & nv, X & nv))
+            elif not X & nv:
+                out.append(tuple(sorted(clique + (v,))))
             P ^= low
             X |= low
-
-    expand((1 << n) - 1, 0)
     out.sort()
     return out
 
 
 def max_clique_size(G: ConfluenceGraph) -> int:
-    """Size of a maximum clique, by branch-and-bound with size pruning."""
+    """Size of a maximum clique, by depth-first branch-and-bound with size pruning."""
     rows = G.rows
-    best = 0
-
-    def grow(size: int, P: int) -> None:
-        nonlocal best
+    best = size = 0
+    P = (1 << G.n) - 1
+    suspended: list[int] = []  # the candidates left at each shallower level
+    while True:
+        if size + P.bit_count() <= best:  # also true once P is empty
+            if not suspended:
+                return best
+            P = suspended.pop()
+            size -= 1
+            continue
+        low = P & -P
+        P ^= low
+        suspended.append(P)
+        P &= rows[low.bit_length() - 1]
+        size += 1
         if size > best:
             best = size
-        while P:
-            if size + P.bit_count() <= best:
-                return
-            low = P & -P
-            v = low.bit_length() - 1
-            P ^= low
-            grow(size + 1, P & rows[v])
-
-    grow(0, (1 << G.n) - 1)
-    return best
 
 
 def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
@@ -114,11 +112,7 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
             raise NotAClique(f"blocks {i} and {j} are disjoint")
     size = len(members)
 
-    common = 0
-    if members:
-        common = masks[members[0]]
-        for i in members[1:]:
-            common &= masks[i]
+    common = _common(masks, members) if members else 0
     pencils = S.pencil_masks
     for p in _bits(common):
         if pencils[p] == mask:

@@ -26,18 +26,17 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import FormatError, NonNegativeSmallestEigenvalue
-from .incidence import IncidenceStructure
+from .incidence import IncidenceStructure, _bits
 
 
 class ConfluenceGraph:
     """Simple undirected graph with bitset adjacency rows.
 
     Vertex i corresponds to block i of the source structure when built
-    by build_confluence. Equality compares (n, rows) and ignores the
-    provenance note.
+    by build_confluence. Equality compares (n, rows).
     """
 
-    def __init__(self, n: int, rows: list[int], provenance: str | None = None):
+    def __init__(self, n: int, rows: list[int]):
         if len(rows) != n:
             raise ValueError("adjacency row count differs from n")
         mask = (1 << n) - 1
@@ -52,17 +51,16 @@ class ConfluenceGraph:
                     raise ValueError(f"adjacency not symmetric at ({i}, {j})")
         self.n = n
         self.rows = tuple(rows)
-        self.provenance = provenance
 
     @classmethod
-    def from_edges(cls, n: int, edges, provenance: str | None = None) -> "ConfluenceGraph":
+    def from_edges(cls, n: int, edges) -> "ConfluenceGraph":
         rows = [0] * n
         for i, j in edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j})")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        return cls(n, rows, provenance)
+        return cls(n, rows)
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -87,13 +85,6 @@ class ConfluenceGraph:
         return f"ConfluenceGraph({self.n} vertices, {self.edge_count()} edges)"
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class SrgParams:
     """Strongly regular graph parameters with exact integer eigenvalues."""
@@ -116,7 +107,7 @@ class SrgParams:
 
 def build_confluence(S: IncidenceStructure) -> ConfluenceGraph:
     """Graph on the blocks of S; edges join blocks sharing a point."""
-    return ConfluenceGraph(len(S.blocks), list(S.block_rows), provenance=repr(S))
+    return ConfluenceGraph(len(S.blocks), list(S.block_rows))
 
 
 def srg_check(G: ConfluenceGraph) -> SrgParams | None:

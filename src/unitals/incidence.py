@@ -18,6 +18,8 @@ each block) and ``block_rows`` (blocks meeting each block), and
 ``pair_counts`` (blocks through each pair of points). Two blocks of a
 partial linear space meet in the single point of their masks' AND, and
 two points are joined by the single block of their pencil masks' AND.
+These masks are the library's one set type for blocks and pencils: every
+membership, containment, meet and join question is answered with them.
 
 Configuration searches: pencils, near pencils, and the 4-line/6-point
 configuration in which every configuration line carries exactly 3 of the
@@ -45,6 +47,24 @@ from .errors import (
     MalformedStructure,
     NotPrimePower,
 )
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _common(masks: Sequence[int], indices: Iterable[int]) -> int:
+    """AND of masks[i] over non-empty indices: the blocks through all the
+    points (pencil masks), or the points on all the blocks (block masks)."""
+    it = iter(indices)
+    out = masks[next(it)]
+    for i in it:
+        out &= masks[i]
+    return out
 
 
 class IncidenceStructure:
@@ -82,10 +102,6 @@ class IncidenceStructure:
             if len(labels) != num_points:
                 raise MalformedStructure("labels length differs from num_points")
         self.labels = labels
-
-    @cached_property
-    def block_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(b) for b in self.blocks)
 
     @cached_property
     def point_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -263,8 +279,8 @@ def affine_plane(q: int) -> IncidenceStructure:
     Built by deleting the points of the line x=0 from PG(2,q).
     """
     plane = projective_plane(q)
-    line_at_infinity = frozenset(range(q + 1))  # points (0:*:*) come first
-    assert line_at_infinity in plane.block_sets
+    line_at_infinity = plane.blocks[0]  # points (0:*:*) come first
+    assert line_at_infinity == tuple(range(q + 1))
     return puncture(plane, line_at_infinity)
 
 
@@ -309,10 +325,9 @@ def hermitian_unital(q: int) -> IncidenceStructure:
     absolute = [i for i, (x, y, z) in enumerate(points)
                 if add[add[norm[x]][norm[y]]][norm[z]] == 0]
     new_index = {p: i for i, p in enumerate(absolute)}
-    keep = set(absolute)
     blocks = []
     for row in rows:
-        r = [new_index[p] for p in row if p in keep]
+        r = [new_index[p] for p in row if p in new_index]
         if len(r) == q + 1:
             blocks.append(r)
     labels = [_label(points[p]) for p in absolute]
@@ -475,14 +490,11 @@ def conic_points(q: int) -> tuple[int, ...]:
 
     Returns point indices in the canonical plane. The set has q+1 points
     and no 3 of them are collinear (a line meets it in at most 2 points).
+    In the point order of _pg_data, (0:0:1) is point 0 and (1:y:z) is
+    point q+1 + y*q + z, so the indices come out ascending.
     """
     pe = prime_power(q)
     if pe is None:
         raise NotPrimePower(f"{q} is not a prime power")
     field = field_create(*pe)
-    points, _ = _pg_data(field)
-    index = {pt: i for i, pt in enumerate(points)}
-    out = {index[(0, 0, 1)]}
-    for t in range(q):
-        out.add(index[(1, t, field.mul_idx(t, t))])
-    return tuple(sorted(out))
+    return (0,) + tuple(q + 1 + t * q + field.mul_idx(t, t) for t in range(q))

@@ -45,7 +45,7 @@ from .errors import (
     QTooLargeForSearch,
     QTooSmall,
 )
-from .incidence import IncidenceStructure, projective_plane, validate
+from .incidence import IncidenceStructure, _bits, _common, projective_plane, validate
 
 
 @dataclass
@@ -210,23 +210,22 @@ def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
     if report.block_size_histogram != {q: q * q + q}:
         raise NotAffinePlane(
             f"line profile {report.block_size_histogram} != {{{q}: {q * q + q}}}")
-    sets = D.block_sets
+    masks = D.block_masks
     nb = len(D.blocks)
-    unassigned = set(range(nb))
+    unassigned = (1 << nb) - 1
     classes: list[list[int]] = []
-    for i in range(nb):
-        if i not in unassigned:
-            continue
-        cls = [j for j in range(nb) if j == i or not D.block_rows[i] >> j & 1]
-        covered: set[int] = set()
-        for j in cls:
-            if sets[j] & covered or j not in unassigned:
+    while unassigned:
+        i = (unassigned & -unassigned).bit_length() - 1
+        cls = (1 << nb) - 1 & ~D.block_rows[i]  # i and the lines missing it
+        covered = 0
+        for j in _bits(cls):
+            if masks[j] & covered or not unassigned >> j & 1:
                 raise NotAffinePlane("parallelism is not an equivalence relation")
-            covered |= sets[j]
-        if len(cls) != q or len(covered) != n:
+            covered |= masks[j]
+        if cls.bit_count() != q or covered != (1 << n) - 1:
             raise NotAffinePlane(f"parallel class of line {i} does not partition the points")
-        unassigned -= set(cls)
-        classes.append(cls)
+        unassigned &= ~cls
+        classes.append(list(_bits(cls)))
     if len(classes) != q + 1:
         raise NotAffinePlane(f"{len(classes)} parallel classes, expected {q + 1}")
     class_of = {j: ci for ci, cls in enumerate(classes) for j in cls}
@@ -254,34 +253,32 @@ def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitne
     if thin != [u]:
         raise ValueError(f"point {u} is not the thin point of this space")
     s_line = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
-    s_row = D.block_sets[s_line]
-    v_lines = {s_line}
+    s_mask = D.block_masks[s_line]
+    v_lines = 1 << s_line
     for p in range(D.num_points):
-        if p in s_row:
+        if s_mask >> p & 1:
             continue
-        cand = [i for i in D.point_blocks[p] if not D.block_rows[s_line] >> i & 1]
-        if len(cand) != 1:
+        cand = D.pencil_masks[p] & ~D.block_rows[s_line]
+        if cand.bit_count() != 1:
             raise ConstructionFailed(
-                f"point {p} lies on {len(cand)} lines missing the short line; "
+                f"point {p} lies on {cand.bit_count()} lines missing the short line; "
                 "expected exactly one")
-        v_lines.add(cand[0])
+        v_lines |= cand
 
     # line-size profile forced by the construction
+    through_u = D.pencil_masks[u]
     for i, block in enumerate(D.blocks):
         size = len(block)
-        if i == s_line or u in D.block_sets[i]:
+        if through_u >> i & 1:
             continue  # sizes through u were verified by thin_points
-        expected = q - 1 if i in v_lines else q
+        expected = q - 1 if v_lines >> i & 1 else q
         if size != expected:
             raise ConstructionFailed(
                 f"line {i} has {size} points, expected {expected}")
 
-    new_rows = []
-    for i, block in enumerate(D.blocks):
-        row = set(block) - {u}
-        if i in v_lines:
-            row.add(u)  # u's slot now carries the new point
-        new_rows.append(row)
+    # u's slot now carries the new point, which lies on the lines of v_lines
+    new_rows = [[x for x in block if x != u] + [u] * (v_lines >> i & 1)
+                for i, block in enumerate(D.blocks)]
     try:
         affine = IncidenceStructure(D.num_points, new_rows)
         w = complete_affine(affine)
@@ -290,14 +287,11 @@ def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitne
 
     host = w.host
     n = D.num_points
-    infty_s = None
-    s_as_indices = frozenset(s_row)  # A-row of S: (D_S - u) + new point at slot u
-    for hb in host.block_sets:
-        finite = {x for x in hb if x < n}
-        if finite == s_as_indices:
-            infty_s = min(hb - finite)
-            break
-    if infty_s is None:
+    # the A-row of S is S's own point set, (D_S - u) + new point at slot u;
+    # the host line through all of it carries S's infinite point
+    ext = _common(host.pencil_masks, D.blocks[s_line])
+    infty_s = host.blocks[ext.bit_length() - 1][-1] if ext else -1
+    if infty_s < n:
         raise ConstructionFailed("no host line extends the short line")
     point_map = list(range(n))
     point_map[u] = infty_s
@@ -323,11 +317,10 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
             or any(len(t) != q + 1 for t in D.point_blocks)):
         raise ValueError("input is not in the full-pencils case")
     host = projective_plane(q)
-    nh = host.num_points
-    host_pencils = host.pencil_masks
+    host_pencils, host_lines = host.pencil_masks, host.block_masks
 
     assign: list[int | None] = [None] * n
-    used = [False] * nh
+    free = (1 << host.num_points) - 1   # host points not yet used
     line_img: list[int | None] = [None] * nb
     claimed: dict[int, int] = {}
     assigned_in = [0] * nb
@@ -342,19 +335,16 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
         return best_p
 
     def candidates(p: int):
-        cands: set[int] | None = None
+        cands = free
         singles = []
         for b in D.point_blocks[p]:
             li = line_img[b]
             if li is not None:
-                allowed = {h for h in host.blocks[li] if not used[h]}
-                cands = allowed if cands is None else cands & allowed
+                cands &= host_lines[li]
             elif assigned_in[b] == 1:
                 img = next(assign[x] for x in D.blocks[b] if assign[x] is not None)
                 singles.append((b, img))
-        if cands is None:
-            cands = {h for h in range(nh) if not used[h]}
-        for h in sorted(cands):
+        for h in _bits(cands):
             newlines: dict[int, int] = {}
             ok = True
             for b, img in singles:
@@ -368,12 +358,13 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
                 yield h, newlines
 
     def search() -> bool:
+        nonlocal free
         p = pick()
         if p is None:
             return True
         for h, newlines in candidates(p):
             assign[p] = h
-            used[h] = True
+            free ^= 1 << h
             for b in D.point_blocks[p]:
                 assigned_in[b] += 1
             for li, b in newlines.items():
@@ -382,7 +373,7 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
             if search():
                 return True
             assign[p] = None
-            used[h] = False
+            free ^= 1 << h
             for b in D.point_blocks[p]:
                 assigned_in[b] -= 1
             for li, b in newlines.items():
@@ -394,16 +385,15 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
         raise NoEmbeddingFound(
             "exhaustive search found no plane embedding; input is invalid")
     point_map = tuple(assign)  # type: ignore[arg-type]
-    image = set(point_map)
-    deleted = tuple(h for h in range(nh) if h not in image)
+    deleted = tuple(_bits(free))
 
     # tangent: every deleted point lies on the host line of a size-q line of D
     short_lines = [i for i, b in enumerate(D.blocks) if len(b) == q]
-    for y in deleted:
-        if not any(y in host.block_sets[line_img[i]] for i in short_lines):
+    for y in _bits(free):
+        if not any(host_lines[line_img[i]] >> y & 1 for i in short_lines):
             raise LemmaViolation(f"deleted host point {y} has no tangent line")
-    for row in host.block_sets:
-        hit = len(row & set(deleted))
+    for row in host_lines:
+        hit = (row & free).bit_count()
         if hit >= q:
             raise LemmaViolation(
                 f"{hit} deleted points are collinear; at most {q - 1} allowed")
@@ -426,13 +416,12 @@ def embedding_errors(D: IncidenceStructure, w: EmbeddingWitness, q: int) -> list
         problems.append("point_map is not injective")
     images = []
     for i, block in enumerate(D.blocks):
-        img = {pm[x] for x in block}
-        containing = [j for j, hb in enumerate(w.host.block_sets) if img <= hb]
-        if len(containing) != 1:
+        containing = _common(w.host.pencil_masks, (pm[x] for x in block))
+        if containing.bit_count() != 1:
             problems.append(
-                f"line {i} maps into {len(containing)} host lines, want exactly 1")
+                f"line {i} maps into {containing.bit_count()} host lines, want exactly 1")
         else:
-            images.append(containing[0])
+            images.append(containing.bit_length() - 1)
     if len(set(images)) != len(images):
         problems.append("two lines map into the same host line")
     expected_deleted = tuple(sorted(set(range(w.host.num_points)) - set(pm)))

@@ -31,7 +31,7 @@ from .errors import (
     NotAUnitalGraph,
     PencilImageNotAPencil,
 )
-from .incidence import IncidenceStructure, affine_plane, validate_unital
+from .incidence import IncidenceStructure, _bits, _common, affine_plane, validate_unital
 
 
 @dataclass
@@ -111,14 +111,12 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
     point_map: list[int] = []
     for u in range(S.num_points):
         image = [beta[i] for i in S.point_blocks[u]]
-        common = set(S2.blocks[image[0]])
-        for i in image[1:]:
-            common &= S2.block_sets[i]
-        if len(common) != 1:
+        common = _common(S2.block_masks, image)
+        if not common or common & (common - 1):
             raise PencilImageNotAPencil(
                 f"image of the pencil of point {u} has no unique common point")
-        u2 = common.pop()
-        if set(S2.point_blocks[u2]) != set(image):
+        u2 = common.bit_length() - 1
+        if S2.pencil_masks[u2] != sum(1 << i for i in image):
             raise PencilImageNotAPencil(
                 f"image of the pencil of point {u} is not the full pencil of {u2}")
         point_map.append(u2)
@@ -166,17 +164,27 @@ def _refined_colors(S1: IncidenceStructure,
                 for p in range(n)]
 
 
+def _masks_by(keys) -> dict:
+    """Map each key to the bitset of the positions that carry it."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out[key] = out.get(key, 0) | 1 << i
+    return out
+
+
 def isomorphic(S1: IncidenceStructure,
                S2: IncidenceStructure) -> list[int] | None:
     """Point bijection carrying blocks onto blocks, or None.
 
     Backtracking over point assignments, pruned by iterated pairwise
-    point-degree refinement (see _refined_colors), partial block-image
-    consistency, and forced-host-block claims: once the compatible hosts
-    of a block shrink to a single candidate, that host is claimed and no
-    other block may map into it. Deterministic order (most-constrained
-    point first, lowest index on ties; candidates ascending), so testing
-    a structure against itself yields the identity.
+    point-degree refinement (see _refined_colors) and by bitset state:
+    each S1 block keeps the mask of its hosts, the S2 blocks of its size
+    through all its assigned images; a block with one host claims it, and
+    no other block may map into a claimed host. A point's candidates are
+    the unused S2 points of its color on a host of each touched block
+    through it. Deterministic order (most claimed, then most touched point
+    first, lowest index on ties; candidates ascending), so testing a
+    structure against itself gives the identity.
     """
     n = S1.num_points
     nb = len(S1.blocks)
@@ -190,101 +198,76 @@ def isomorphic(S1: IncidenceStructure,
         return None
     inv1, inv2 = colors
 
-    pb1, pb2 = S1.point_blocks, S2.point_blocks
-    bs2 = S2.block_sets
-    size1 = [len(b) for b in S1.blocks]
-    size2 = [len(b) for b in S2.blocks]
+    pb1 = S1.point_blocks
+    pm2, bm2 = S2.pencil_masks, S2.block_masks
+    of_size = _masks_by(map(len, S2.blocks))   # S2 blocks of each size
+    of_color = _masks_by(inv2)                 # S2 points of each color
 
     sigma: list[int | None] = [None] * n
-    used = [False] * n
     assigned_in = [0] * nb          # assigned points per S1 block
-    block_img: list[set[int]] = [set() for _ in range(nb)]
-    claim: list[int | None] = [None] * nb   # forced S2 host per S1 block
-    claimed_by: dict[int, int] = {}
+    hosts = [of_size[len(b)] for b in S1.blocks]
+    used = claimed = 0              # S2 points taken; S2 blocks claimed
 
-    def try_assign(p: int, h: int) -> list[tuple[int, int]] | None:
-        """Apply sigma[p] = h; return the claim journal, or None on conflict."""
+    def try_assign(p: int, h: int):
+        """Apply sigma[p] = h; return its undo record, or None on conflict."""
+        nonlocal used, claimed
+        record = [(b, hosts[b]) for b in pb1[p]], claimed
         sigma[p] = h
-        used[h] = True
+        used |= 1 << h
         for b in pb1[p]:
             assigned_in[b] += 1
-            block_img[b].add(h)
-        journal: list[tuple[int, int]] = []
-        ok = True
-        for b in pb1[p]:
-            img = block_img[b]
-            compat = [c for c in pb2[h]
-                      if size2[c] == size1[b] and img <= bs2[c]]
-            if not compat:
-                ok = False
-                break
-            if len(compat) == 1:
-                c = compat[0]
-                owner = claimed_by.get(c)
-                if owner is not None and owner != b:
-                    ok = False
-                    break
-                if claim[b] is None:
-                    claim[b] = c
-                    claimed_by[c] = b
-                    journal.append((b, c))
-        if ok:
-            return journal
-        undo(p, h, journal)
-        return None
+        for b, old in record[0]:
+            new = hosts[b] = old & pm2[h]
+            # claim a host that is now the block's only one
+            if not new & (new - 1) and (new != old or assigned_in[b] == 1):
+                if not new or new & claimed:  # no host left, or another block's
+                    undo(p, h, record)
+                    return None
+                claimed |= new
+        return record
 
-    def undo(p: int, h: int, journal: list[tuple[int, int]]) -> None:
-        for b, c in journal:
-            claim[b] = None
-            del claimed_by[c]
-        for b in pb1[p]:
+    def undo(p: int, h: int, record) -> None:
+        nonlocal used, claimed
+        saved, claimed = record
+        for b, old in saved:
+            hosts[b] = old
             assigned_in[b] -= 1
-            block_img[b].discard(h)
         sigma[p] = None
-        used[h] = False
+        used ^= 1 << h
+
+    wide = max(map(len, pb1), default=0) + 2
 
     def pick() -> int | None:
-        best_p, best_score = None, (-1, -1)
+        # a touched block weighs 1 and a claimed one wide, so a point's sum
+        # orders like (claimed blocks, touched blocks) through it
+        weight = [0 if not a else 1 if h & (h - 1) else wide
+                  for a, h in zip(assigned_in, hosts)]
+        best_p, best_score = None, -1
         for p in range(n):
-            if sigma[p] is not None:
-                continue
-            n_claimed = n_touched = 0
-            for b in pb1[p]:
-                if claim[b] is not None:
-                    n_claimed += 1
-                if assigned_in[b]:
-                    n_touched += 1
-            score = (n_claimed, n_touched)
-            if score > best_score:
-                best_score, best_p = score, p
+            if sigma[p] is None:
+                score = sum(map(weight.__getitem__, pb1[p]))
+                if score > best_score:
+                    best_score, best_p = score, p
         return best_p
 
-    def candidates(p: int) -> list[int]:
-        allowed: set[int] | None = None
+    def candidates(p: int):
+        allowed = of_color[inv1[p]] & ~used
         for b in pb1[p]:
-            if claim[b] is not None:
-                row = bs2[claim[b]]
-                allowed = set(row) if allowed is None else allowed & row
-            elif assigned_in[b]:
-                img = block_img[b]
-                anchor = next(iter(img))
-                pool: set[int] = set()
-                for c in pb2[anchor]:
-                    if size2[c] == size1[b] and img <= bs2[c]:
-                        pool |= bs2[c]
-                allowed = pool if allowed is None else allowed & pool
-        if allowed is None:
-            return [h for h in range(n) if not used[h] and inv2[h] == inv1[p]]
-        return [h for h in sorted(allowed) if not used[h] and inv2[h] == inv1[p]]
+            if assigned_in[b]:
+                reach = 0
+                for c in _bits(hosts[b]):
+                    reach |= bm2[c]
+                allowed &= reach
+        return _bits(allowed)
 
     def search() -> bool:
         """Depth-first search on an explicit stack (its depth reaches the
         point count). A frame is [point, remaining candidates, applied
-        (candidate, journal) or None]."""
+        (candidate, undo record) or None]."""
         p = pick()
         if p is None:
             return True
-        stack = [[p, iter(candidates(p)), None]]
+        stack = [[p, candidates(p), None]]
         while stack:
             frame = stack[-1]
             p, remaining, applied = frame
@@ -292,9 +275,9 @@ def isomorphic(S1: IncidenceStructure,
                 undo(p, *applied)
                 frame[2] = None
             for h in remaining:
-                journal = try_assign(p, h)
-                if journal is not None:
-                    frame[2] = (h, journal)
+                record = try_assign(p, h)
+                if record is not None:
+                    frame[2] = (h, record)
                     break
             else:
                 stack.pop()
@@ -302,7 +285,7 @@ def isomorphic(S1: IncidenceStructure,
             p = pick()
             if p is None:
                 return True
-            stack.append([p, iter(candidates(p)), None])
+            stack.append([p, candidates(p), None])
         return False
 
     if not search():

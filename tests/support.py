@@ -69,3 +69,9 @@ def naive_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
     expand([], (1 << G.n) - 1, 0)
     out.sort()
     return out
+
+
+def block_sets(S) -> tuple[frozenset[int], ...]:
+    """Each block of S as a frozenset, built from the block tuples alone, so
+    set-based oracles stay independent of the library's bitset tables."""
+    return tuple(frozenset(b) for b in S.blocks)

@@ -9,7 +9,7 @@ import time
 from collections import Counter
 from itertools import combinations
 
-from support import naive_maximal_cliques, sweep_graph
+from support import block_sets, naive_maximal_cliques, sweep_graph
 
 from unitals.cliques import (
     classify_clique,
@@ -165,10 +165,11 @@ def test_c07_onan_scan(h2, h3, h4):
 
     def oracle(S):
         hits = []
+        sets = block_sets(S)
         for quad in combinations(range(len(S.blocks)), 4):
             meets = []
             for i, j in combinations(quad, 2):
-                common = S.block_sets[i] & S.block_sets[j]
+                common = sets[i] & sets[j]
                 if len(common) != 1:
                     break
                 meets.append(next(iter(common)))
@@ -230,16 +231,16 @@ def test_c09_three_case_classification():
             assert isomorphic(w.host, pg) is not None, f"q={q} {spec}"
             if want_case == "full_pencils":
                 deleted = set(w.deleted)
+                host_sets = block_sets(w.host)
                 line_of = {}
                 for i, block in enumerate(D.blocks):
                     img = {w.point_map[x] for x in block}
-                    line_of[i] = next(j for j, hb in enumerate(w.host.block_sets)
-                                      if img <= hb)
-                for hb in w.host.block_sets:
+                    line_of[i] = next(j for j, hb in enumerate(host_sets) if img <= hb)
+                for hb in host_sets:
                     assert len(hb & deleted) < q, "q deleted points collinear"
                 shorts = [i for i, b in enumerate(D.blocks) if len(b) == q]
                 for y in deleted:
-                    assert any(y in w.host.block_sets[line_of[i]] for i in shorts), \
+                    assert any(y in host_sets[line_of[i]] for i in shorts), \
                         f"deleted point {y} has no tangent"
     _report("criterion 9", "cases i/ii/iii with line counts 12/12/13 (q=3) "
             "and i/iii with 20/21 (q=4); hosts isomorphic, deletions of size q+1, "

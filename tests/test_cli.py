@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from unitals import cli
 from unitals.cli import main
 from unitals.incidence import read_json, validate_unital
 
@@ -174,6 +175,27 @@ def test_isomorphic_search_depth_is_not_bounded_by_recursion(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == list(range(n))
 
 
+@pytest.fixture()
+def star_json(tmp_path):
+    # 1,200 two-point blocks through point 0: the confluence graph is one
+    # clique of 1,200 vertices, and both clique searches go one level
+    # deeper per vertex, past the interpreter's default recursion limit
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"format": "incidence-v1", "num_points": 1201,
+                                "blocks": [[0, i] for i in range(1, 1201)]}))
+    return path
+
+
+def test_cliques_search_depth_is_not_bounded_by_recursion(star_json, capsys):
+    assert run("cliques", str(star_json)) == 0
+    assert capsys.readouterr().out.splitlines() == ["maximal_cliques=1", "sizes=1200:1"]
+
+
+def test_max_clique_search_depth_is_not_bounded_by_recursion(star_json, capsys):
+    assert run("cliques", str(star_json), "--max-only") == 0
+    assert capsys.readouterr().out.splitlines() == ["max_clique_size=1200"]
+
+
 def test_reconstruct_rejects_non_unital_graph(tmp_path):
     bad = tmp_path / "bad.dimacs"
     bad.write_text("p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
@@ -223,6 +245,16 @@ def test_line_swap_without_a_point_off_block_0_is_usage_error(tmp_path, capsys):
     assert run("build", "puncture", "--q", "2", "--in", str(path),
                "--delete", "line-swap") == 2
     assert "line-swap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()])
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc
+    monkeypatch.setitem(cli._DISPATCH, "srg", fail)
+    assert run("srg", "unused.json") == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_bad_json_is_usage_error(tmp_path):

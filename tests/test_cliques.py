@@ -3,6 +3,7 @@
 import pytest
 from support import (
     GraphTooLarge,
+    block_sets,
     naive_maximal_cliques,
     subset_filter_cliques,
     sweep_graph,
@@ -111,14 +112,15 @@ def test_classify_near_pencil(h3):
 def test_classify_triangle_as_other(h3):
     # three blocks pairwise meeting in three distinct points
     found = None
+    sets = block_sets(h3)
     for i in range(len(h3.blocks)):
         for j in range(i + 1, len(h3.blocks)):
-            common_ij = h3.block_sets[i] & h3.block_sets[j]
+            common_ij = sets[i] & sets[j]
             if not common_ij:
                 continue
             for k in range(j + 1, len(h3.blocks)):
-                ik = h3.block_sets[i] & h3.block_sets[k]
-                jk = h3.block_sets[j] & h3.block_sets[k]
+                ik = sets[i] & sets[k]
+                jk = sets[j] & sets[k]
                 if ik and jk and len(common_ij | ik | jk) == 3:
                     found = (i, j, k)
                     break
@@ -138,9 +140,10 @@ def test_classify_sub_pencil(h3):
 
 def test_classify_rejects_non_clique(h3):
     disjoint = None
+    sets = block_sets(h3)
     for i in range(len(h3.blocks)):
         for j in range(i + 1, len(h3.blocks)):
-            if not h3.block_sets[i] & h3.block_sets[j]:
+            if not sets[i] & sets[j]:
                 disjoint = (i, j)
                 break
         if disjoint:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import block_sets
 
 from unitals.confluence import (
     ConfluenceGraph,
@@ -32,8 +33,9 @@ def _naive_confluence(S):
     """Oracle: double loop over block pairs testing set intersection."""
     n = len(S.blocks)
     rows = [0] * n
+    sets = block_sets(S)
     for i, j in combinations(range(n), 2):
-        if S.block_sets[i] & S.block_sets[j]:
+        if sets[i] & sets[j]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return ConfluenceGraph(n, rows)

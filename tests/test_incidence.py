@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import block_sets
 
 from unitals.errors import (
     DegeneratePoint,
@@ -101,10 +102,11 @@ def test_projective_plane_counts(q, n):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_projective_plane_axioms_exhaustive(q):
     P = projective_plane(q)
+    sets = block_sets(P)
     for a, b in combinations(range(P.num_points), 2):
-        assert sum(1 for s in P.block_sets if a in s and b in s) == 1
+        assert sum(1 for s in sets if a in s and b in s) == 1
     for i, j in combinations(range(len(P.blocks)), 2):
-        assert len(P.block_sets[i] & P.block_sets[j]) == 1
+        assert len(sets[i] & sets[j]) == 1
 
 
 def test_projective_plane_rejects_non_prime_power():
@@ -144,7 +146,7 @@ def test_puncture_conic(pg3):
 def test_conic_has_no_three_collinear(pg3):
     conic = set(conic_points(3))
     assert len(conic) == 4
-    assert all(len(conic & s) <= 2 for s in pg3.block_sets)
+    assert all(len(conic & s) <= 2 for s in block_sets(pg3))
 
 
 def test_puncture_records_original_labels(pg3):
@@ -249,8 +251,9 @@ def test_near_pencil_size_in_unital(qq, h3, h4):
     p, L = _non_incident_pair(H)
     blocks = near_pencil(H, p, L)
     assert len(blocks) == qq + 2
+    sets = block_sets(H)
     for i, j in combinations(blocks, 2):
-        assert H.block_sets[i] & H.block_sets[j]
+        assert sets[i] & sets[j]
 
 
 def test_near_pencil_in_affine_plane():
@@ -271,7 +274,7 @@ def test_near_pencil_rejects_incident_pair(h3):
 def _onan_oracle(S):
     """Unpruned quadruple loop over all 4-subsets of blocks."""
     hits = []
-    sets = S.block_sets
+    sets = block_sets(S)
     for quad in combinations(range(len(S.blocks)), 4):
         meets = []
         ok = True
@@ -311,10 +314,11 @@ def test_onan_respects_limit():
 def test_onan_configuration_shape():
     P = projective_plane(2)
     cfg = find_onan(P, limit=1)[0]
+    sets = block_sets(P)
     for point in cfg.points:
-        assert sum(1 for b in cfg.blocks if point in P.block_sets[b]) == 2
+        assert sum(1 for b in cfg.blocks if point in sets[b]) == 2
     for b in cfg.blocks:
-        assert len(P.block_sets[b] & set(cfg.points)) == 3
+        assert len(sets[b] & set(cfg.points)) == 3
 
 
 def test_onan_rejects_non_partial_linear():

@@ -1,6 +1,7 @@
 """Linear-space classification, completions, embeddings, 4-point special case."""
 
 import pytest
+from support import block_sets
 
 from unitals.errors import (
     AssumptionViolation,
@@ -81,7 +82,7 @@ def test_projective_lines_of_line_swap(pg3):
     u = thin_points(D, 3)[0]
     full = projective_lines(D, 3)
     assert len(full) == 2  # the lines through u other than the short one
-    assert all(u in D.block_sets[i] for i in full)
+    assert all(u in block_sets(D)[i] for i in full)
 
 
 def test_thin_points_empty_for_affine_and_conic(pg3):
@@ -163,12 +164,12 @@ def test_complete_thin_point_roundtrip(pg3):
     assert len(w.deleted) == 4
     assert embedding_errors(D, w, 3) == []
     assert isomorphic(w.host, pg3) is not None
-    assert w.point_map[u] in w.host.block_sets[_host_line_of(D, w, D.point_blocks[u][0])]
+    assert w.point_map[u] in block_sets(w.host)[_host_line_of(D, w, D.point_blocks[u][0])]
 
 
 def _host_line_of(D, w, line_index):
     img = {w.point_map[x] for x in D.blocks[line_index]}
-    hosts = [j for j, hb in enumerate(w.host.block_sets) if img <= hb]
+    hosts = [j for j, hb in enumerate(block_sets(w.host)) if img <= hb]
     assert len(hosts) == 1
     return hosts[0]
 
@@ -185,7 +186,7 @@ def test_thin_point_line_size_profile(pg3):
     v = next(d for d in w.deleted if d < D.num_points)  # the rebuilt point's slot
     through_u, through_v, elsewhere = [], [], []
     for i, block in enumerate(D.blocks):
-        hline = w.host.block_sets[_host_line_of(D, w, i)]
+        hline = block_sets(w.host)[_host_line_of(D, w, i)]
         if host_u in hline and v in hline:
             assert len(block) == q  # the line joining u and the rebuilt point
         elif host_u in hline:
@@ -222,11 +223,11 @@ def test_embed_full_pencils_conic_roundtrip(pg3):
     deleted = set(w.deleted)
     assert len(deleted) == 4
     # no 3 deleted points collinear, every deleted point has a size-q tangent
-    for hb in w.host.block_sets:
+    for hb in block_sets(w.host):
         assert len(hb & deleted) <= 2
     short = [i for i, b in enumerate(D.blocks) if len(b) == 3]
     for y in deleted:
-        assert any(y in w.host.block_sets[_host_line_of(D, w, i)] for i in short)
+        assert any(y in block_sets(w.host)[_host_line_of(D, w, i)] for i in short)
 
 
 def test_embed_full_pencils_arc_roundtrip_q4(pg4):
@@ -234,7 +235,7 @@ def test_embed_full_pencils_arc_roundtrip_q4(pg4):
     w = embed_full_pencils(D, 4)
     assert embedding_errors(D, w, 4) == []
     assert len(w.deleted) == 5
-    for hb in w.host.block_sets:
+    for hb in block_sets(w.host):
         assert len(hb & set(w.deleted)) <= 3
 
 

@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from support import block_sets
 
 from unitals.cliques import enumerate_maximal_cliques
 from unitals.confluence import ConfluenceGraph, build_confluence
@@ -118,13 +119,14 @@ def _pasch_configs(S):
     """
     from itertools import combinations as comb
     out = []
+    sets = block_sets(S)
     for quad in comb(range(len(S.blocks)), 4):
         pts = set()
         for i in quad:
-            pts |= S.block_sets[i]
+            pts |= sets[i]
         if len(pts) != 6:
             continue
-        if all(len(S.block_sets[i] & S.block_sets[j]) == 1 for i, j in comb(quad, 2)):
+        if all(len(sets[i] & sets[j]) == 1 for i, j in comb(quad, 2)):
             out.append(quad)
     return out
 
