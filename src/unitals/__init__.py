@@ -28,7 +28,6 @@ from .confluence import (
     infer_order,
     read_dimacs,
     srg_check,
-    write_dimacs,
 )
 from .incidence import (
     DesignReport,
@@ -46,7 +45,6 @@ from .incidence import (
     read_json,
     validate,
     validate_unital,
-    write_json,
 )
 from .linspace import (
     EmbeddingWitness,

@@ -173,6 +173,8 @@ def cmd_srg(args) -> int:
 
 
 def cmd_cliques(args) -> int:
+    if args.max_only and (args.classify or args.json):
+        raise ValueError("--max-only cannot be combined with --classify or --json")
     S = inc.read_json(args.input)
     G = confl.build_confluence(S)
     if args.max_only:

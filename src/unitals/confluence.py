@@ -200,11 +200,6 @@ def format_dimacs(G: ConfluenceGraph, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dimacs(G: ConfluenceGraph, path, comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_dimacs(G, comments))
-
-
 def read_dimacs(path) -> ConfluenceGraph:
     """Strict reader: edges must be 1-based i < j, each line strictly after
     the previous one in lexicographic order (so no duplicates)."""

@@ -26,7 +26,7 @@ configuration in which every configuration line carries exactly 3 of the
 points and every point lies on exactly 2 of the lines.
 
 Serialization: the ``incidence-v1`` JSON format (see read_json, and
-format_json, which write_json writes and the CLI emits).
+format_json, the one writer, whose text the CLI emits).
 """
 
 from __future__ import annotations
@@ -65,6 +65,108 @@ def _common(masks: Sequence[int], indices: Iterable[int]) -> int:
     for i in it:
         out &= masks[i]
     return out
+
+
+def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
+                allowed: Sequence[int], hosts: Sequence[int]) -> list[int] | None:
+    """Injective point map of S1 into S2 that sends every block into an S2
+    block of its own, or None if there is none.
+
+    allowed[p] is the mask of S2 points that point p may take; hosts[b]
+    is the start mask of S2 blocks that block b may land on. Each block's
+    hosts are ANDed with the pencils of its assigned images; a block with
+    one host claims it, and no other block may map into a claimed host.
+    A point's candidates are its allowed, unused S2 points on a host of
+    each touched block through it. Backtracking is deterministic: most
+    claimed, then most touched point first, lowest index on ties;
+    candidates ascending.
+    """
+    n = S1.num_points
+    pb1 = S1.point_blocks
+    pm2, bm2 = S2.pencil_masks, S2.block_masks
+    sigma: list[int | None] = [None] * n
+    assigned_in = [0] * len(S1.blocks)  # assigned points per S1 block
+    hosts = list(hosts)
+    used = claimed = 0                   # S2 points taken; S2 blocks claimed
+
+    def try_assign(p: int, h: int):
+        """Apply sigma[p] = h; return its undo record, or None on conflict."""
+        nonlocal used, claimed
+        record = [(b, hosts[b]) for b in pb1[p]], claimed
+        sigma[p] = h
+        used |= 1 << h
+        for b in pb1[p]:
+            assigned_in[b] += 1
+        for b, old in record[0]:
+            new = hosts[b] = old & pm2[h]
+            # claim a host that is now the block's only one
+            if not new & (new - 1) and (new != old or assigned_in[b] == 1):
+                if not new or new & claimed:  # no host left, or another block's
+                    undo(p, h, record)
+                    return None
+                claimed |= new
+        return record
+
+    def undo(p: int, h: int, record) -> None:
+        nonlocal used, claimed
+        saved, claimed = record
+        for b, old in saved:
+            hosts[b] = old
+            assigned_in[b] -= 1
+        sigma[p] = None
+        used ^= 1 << h
+
+    wide = max(map(len, pb1), default=0) + 2
+
+    def pick() -> int | None:
+        # a touched block weighs 1 and a claimed one wide, so a point's sum
+        # orders like (claimed blocks, touched blocks) through it
+        weight = [0 if not a else 1 if h & (h - 1) else wide
+                  for a, h in zip(assigned_in, hosts)]
+        best_p, best_score = None, -1
+        for p in range(n):
+            if sigma[p] is None:
+                score = sum(map(weight.__getitem__, pb1[p]))
+                if score > best_score:
+                    best_score, best_p = score, p
+        return best_p
+
+    def candidates(p: int):
+        mask = allowed[p] & ~used
+        for b in pb1[p]:
+            if assigned_in[b]:
+                reach = 0
+                for c in _bits(hosts[b]):
+                    reach |= bm2[c]
+                mask &= reach
+        return _bits(mask)
+
+    # depth-first on an explicit stack (its depth reaches the point count);
+    # a frame is [point, remaining candidates, applied (candidate, undo
+    # record) or None]
+    p = pick()
+    if p is None:
+        return []
+    stack = [[p, candidates(p), None]]
+    while stack:
+        frame = stack[-1]
+        p, remaining, applied = frame
+        if applied is not None:  # the deeper search failed
+            undo(p, *applied)
+            frame[2] = None
+        for h in remaining:
+            record = try_assign(p, h)
+            if record is not None:
+                frame[2] = (h, record)
+                break
+        else:
+            stack.pop()
+            continue
+        p = pick()
+        if p is None:
+            return sigma  # type: ignore[return-value]
+        stack.append([p, candidates(p), None])
+    return None
 
 
 class IncidenceStructure:
@@ -381,10 +483,13 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
     """All 4-block subsets, pairwise intersecting, with 6 distinct meets.
 
     Enumeration is exhaustive in lexicographic order over sorted block
-    quadruples; a positive `limit` stops after that many hits. The input
-    must be a partial linear space, so two meeting blocks share exactly
-    one point: the single bit of their block masks' AND.
+    quadruples; a positive `limit` stops after that many hits, and a
+    negative one raises ValueError. The input must be a partial linear
+    space, so two meeting blocks share exactly one point: the single bit
+    of their block masks' AND.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if not validate(S).is_partial_linear:
         raise ValueError("input is not a partial linear space")
     rows, masks = S.block_rows, S.block_masks
@@ -469,11 +574,6 @@ def from_json_dict(data: dict) -> IncidenceStructure:
 def format_json(S: IncidenceStructure) -> str:
     """incidence-v1 text of S, one-space indented, with a final newline."""
     return json.dumps(to_json_dict(S), indent=1) + "\n"
-
-
-def write_json(S: IncidenceStructure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_json(S))
 
 
 def read_json(path) -> IncidenceStructure:

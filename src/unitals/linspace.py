@@ -22,9 +22,10 @@ corrupted input, not a classification):
 
 Completions produce an explicit EmbeddingWitness (host plane, point
 injection, deleted point set) which an independent verifier re-checks.
-For the "full_pencils" case the embedding is found by backtracking
-search in the coordinatized plane; for q <= 4 that plane is the unique
-projective plane of order q, so the search is complete.
+For the "full_pencils" case the embedding is found by the shared
+backtracking point-map search in the coordinatized plane; for q <= 4
+that plane is the unique projective plane of order q, so the search is
+complete.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     QTooLargeForSearch,
     QTooSmall,
 )
-from .incidence import IncidenceStructure, _bits, _common, projective_plane, validate
+from .incidence import IncidenceStructure, _bits, _common, _map_points, projective_plane, validate
 
 
 @dataclass
@@ -303,11 +304,12 @@ def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitne
 def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
     """Backtracking embedding of the full-pencils case into PG(2,q).
 
-    Points are assigned fail-first (most partially-mapped lines first,
-    lowest index on ties); candidates are pruned by requiring partial
-    line images to stay collinear and distinct lines to claim distinct
-    host lines. On success the tangent property of every deleted point
-    and the no-q-collinear property of the deleted set are verified.
+    The shared search incidence._map_points maps the points of D into
+    the host plane so that every line of D lands on a host line of its
+    own; any host point may take any point and any line any host line.
+    Exhausting the search raises NoEmbeddingFound. On success the tangent
+    property of every deleted point and the no-q-collinear property of
+    the deleted set are verified.
     """
     if q > 4:
         raise QTooLargeForSearch("embedding search supports q <= 4 only")
@@ -317,87 +319,33 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
             or any(len(t) != q + 1 for t in D.point_blocks)):
         raise ValueError("input is not in the full-pencils case")
     host = projective_plane(q)
-    host_pencils, host_lines = host.pencil_masks, host.block_masks
-
-    assign: list[int | None] = [None] * n
-    free = (1 << host.num_points) - 1   # host points not yet used
-    line_img: list[int | None] = [None] * nb
-    claimed: dict[int, int] = {}
-    assigned_in = [0] * nb
-
-    def pick() -> int | None:
-        best_p, best_c = None, -1
-        for p in range(n):
-            if assign[p] is None:
-                c = sum(1 for b in D.point_blocks[p] if assigned_in[b] > 0)
-                if c > best_c:
-                    best_c, best_p = c, p
-        return best_p
-
-    def candidates(p: int):
-        cands = free
-        singles = []
-        for b in D.point_blocks[p]:
-            li = line_img[b]
-            if li is not None:
-                cands &= host_lines[li]
-            elif assigned_in[b] == 1:
-                img = next(assign[x] for x in D.blocks[b] if assign[x] is not None)
-                singles.append((b, img))
-        for h in _bits(cands):
-            newlines: dict[int, int] = {}
-            ok = True
-            for b, img in singles:
-                # the join of two host points: the single bit of their pencils
-                li = (host_pencils[img] & host_pencils[h]).bit_length() - 1
-                if li in newlines or claimed.get(li, b) != b:
-                    ok = False
-                    break
-                newlines[li] = b
-            if ok:
-                yield h, newlines
-
-    def search() -> bool:
-        nonlocal free
-        p = pick()
-        if p is None:
-            return True
-        for h, newlines in candidates(p):
-            assign[p] = h
-            free ^= 1 << h
-            for b in D.point_blocks[p]:
-                assigned_in[b] += 1
-            for li, b in newlines.items():
-                line_img[b] = li
-                claimed[li] = b
-            if search():
-                return True
-            assign[p] = None
-            free ^= 1 << h
-            for b in D.point_blocks[p]:
-                assigned_in[b] -= 1
-            for li, b in newlines.items():
-                line_img[b] = None
-                del claimed[li]
-        return False
-
-    if not search():
+    host_lines = host.block_masks
+    every = (1 << host.num_points) - 1  # as many host lines as points
+    point_map = _map_points(D, host, [every] * n, [every] * nb)
+    if point_map is None:
         raise NoEmbeddingFound(
             "exhaustive search found no plane embedding; input is invalid")
-    point_map = tuple(assign)  # type: ignore[arg-type]
-    deleted = tuple(_bits(free))
+    free = every
+    for h in point_map:
+        free ^= 1 << h
 
     # tangent: every deleted point lies on the host line of a size-q line of D
-    short_lines = [i for i, b in enumerate(D.blocks) if len(b) == q]
-    for y in _bits(free):
-        if not any(host_lines[line_img[i]] >> y & 1 for i in short_lines):
-            raise LemmaViolation(f"deleted host point {y} has no tangent line")
+    tangent = 0
+    for block in D.blocks:
+        if len(block) == q:
+            line = _common(host.pencil_masks, (point_map[x] for x in block))
+            tangent |= host_lines[line.bit_length() - 1]
+    missing = free & ~tangent
+    if missing:
+        y = (missing & -missing).bit_length() - 1
+        raise LemmaViolation(f"deleted host point {y} has no tangent line")
     for row in host_lines:
         hit = (row & free).bit_count()
         if hit >= q:
             raise LemmaViolation(
                 f"{hit} deleted points are collinear; at most {q - 1} allowed")
-    return EmbeddingWitness(host=host, point_map=point_map, deleted=deleted)
+    return EmbeddingWitness(host=host, point_map=tuple(point_map),
+                            deleted=tuple(_bits(free)))
 
 
 def embedding_errors(D: IncidenceStructure, w: EmbeddingWitness, q: int) -> list[str]:

@@ -31,7 +31,7 @@ from .errors import (
     NotAUnitalGraph,
     PencilImageNotAPencil,
 )
-from .incidence import IncidenceStructure, _bits, _common, affine_plane, validate_unital
+from .incidence import IncidenceStructure, _common, _map_points, affine_plane, validate_unital
 
 
 @dataclass
@@ -176,15 +176,12 @@ def isomorphic(S1: IncidenceStructure,
                S2: IncidenceStructure) -> list[int] | None:
     """Point bijection carrying blocks onto blocks, or None.
 
-    Backtracking over point assignments, pruned by iterated pairwise
-    point-degree refinement (see _refined_colors) and by bitset state:
-    each S1 block keeps the mask of its hosts, the S2 blocks of its size
-    through all its assigned images; a block with one host claims it, and
-    no other block may map into a claimed host. A point's candidates are
-    the unused S2 points of its color on a host of each touched block
-    through it. Deterministic order (most claimed, then most touched point
-    first, lowest index on ties; candidates ascending), so testing a
-    structure against itself gives the identity.
+    After size checks, iterated pairwise point-degree refinement (see
+    _refined_colors) colors both point sets; then the shared backtracking
+    search incidence._map_points maps each point into its color class and
+    each block onto an S2 block of its size. Its order is deterministic,
+    so testing a structure against itself gives the identity. Every block
+    image is re-checked before returning.
     """
     n = S1.num_points
     nb = len(S1.blocks)
@@ -198,99 +195,12 @@ def isomorphic(S1: IncidenceStructure,
         return None
     inv1, inv2 = colors
 
-    pb1 = S1.point_blocks
-    pm2, bm2 = S2.pencil_masks, S2.block_masks
     of_size = _masks_by(map(len, S2.blocks))   # S2 blocks of each size
     of_color = _masks_by(inv2)                 # S2 points of each color
-
-    sigma: list[int | None] = [None] * n
-    assigned_in = [0] * nb          # assigned points per S1 block
-    hosts = [of_size[len(b)] for b in S1.blocks]
-    used = claimed = 0              # S2 points taken; S2 blocks claimed
-
-    def try_assign(p: int, h: int):
-        """Apply sigma[p] = h; return its undo record, or None on conflict."""
-        nonlocal used, claimed
-        record = [(b, hosts[b]) for b in pb1[p]], claimed
-        sigma[p] = h
-        used |= 1 << h
-        for b in pb1[p]:
-            assigned_in[b] += 1
-        for b, old in record[0]:
-            new = hosts[b] = old & pm2[h]
-            # claim a host that is now the block's only one
-            if not new & (new - 1) and (new != old or assigned_in[b] == 1):
-                if not new or new & claimed:  # no host left, or another block's
-                    undo(p, h, record)
-                    return None
-                claimed |= new
-        return record
-
-    def undo(p: int, h: int, record) -> None:
-        nonlocal used, claimed
-        saved, claimed = record
-        for b, old in saved:
-            hosts[b] = old
-            assigned_in[b] -= 1
-        sigma[p] = None
-        used ^= 1 << h
-
-    wide = max(map(len, pb1), default=0) + 2
-
-    def pick() -> int | None:
-        # a touched block weighs 1 and a claimed one wide, so a point's sum
-        # orders like (claimed blocks, touched blocks) through it
-        weight = [0 if not a else 1 if h & (h - 1) else wide
-                  for a, h in zip(assigned_in, hosts)]
-        best_p, best_score = None, -1
-        for p in range(n):
-            if sigma[p] is None:
-                score = sum(map(weight.__getitem__, pb1[p]))
-                if score > best_score:
-                    best_score, best_p = score, p
-        return best_p
-
-    def candidates(p: int):
-        allowed = of_color[inv1[p]] & ~used
-        for b in pb1[p]:
-            if assigned_in[b]:
-                reach = 0
-                for c in _bits(hosts[b]):
-                    reach |= bm2[c]
-                allowed &= reach
-        return _bits(allowed)
-
-    def search() -> bool:
-        """Depth-first search on an explicit stack (its depth reaches the
-        point count). A frame is [point, remaining candidates, applied
-        (candidate, undo record) or None]."""
-        p = pick()
-        if p is None:
-            return True
-        stack = [[p, candidates(p), None]]
-        while stack:
-            frame = stack[-1]
-            p, remaining, applied = frame
-            if applied is not None:  # the deeper search failed
-                undo(p, *applied)
-                frame[2] = None
-            for h in remaining:
-                record = try_assign(p, h)
-                if record is not None:
-                    frame[2] = (h, record)
-                    break
-            else:
-                stack.pop()
-                continue
-            p = pick()
-            if p is None:
-                return True
-            stack.append([p, candidates(p), None])
-        return False
-
-    if not search():
+    result = _map_points(S1, S2, [of_color[c] for c in inv1],
+                         [of_size[len(b)] for b in S1.blocks])
+    if result is None:
         return None
-    result = [int(x) for x in sigma]  # type: ignore[arg-type]
     # safety net; full-image compatibility already forces this
     blocks2_set = set(S2.blocks)
     image_blocks = [tuple(sorted(result[x] for x in b)) for b in S1.blocks]

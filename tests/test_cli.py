@@ -115,6 +115,20 @@ def test_cliques_max_only(capsys, h3_json):
     assert "max_clique_size=9" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [
+    ("--classify",),
+    ("--json", "report.json"),
+    ("--classify", "--json", "report.json"),
+])
+def test_cliques_max_only_rejects_classify_and_json(tmp_path, monkeypatch, capsys,
+                                                    h3_json, extra):
+    monkeypatch.chdir(tmp_path)
+    assert run("cliques", str(h3_json), "--max-only", *extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_onan_expectations(tmp_path, h3_json):
     assert run("onan", str(h3_json), "--expect-none") == 0
     pg2 = tmp_path / "pg2.json"
@@ -122,6 +136,7 @@ def test_onan_expectations(tmp_path, h3_json):
     assert run("onan", str(pg2)) == 0
     assert run("onan", str(pg2), "--expect-none") == 1
     assert run("onan", str(pg2), "--limit", "2", "--expect-none") == 1
+    assert run("onan", str(pg2), "--limit", "-1") == 2
 
 
 def test_classify_linspace_cases(tmp_path, capsys):

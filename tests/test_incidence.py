@@ -309,6 +309,8 @@ def test_onan_oracle_agreement_on_h2(h2):
 def test_onan_respects_limit():
     P = projective_plane(2)
     assert len(find_onan(P, limit=3)) == 3
+    with pytest.raises(ValueError):
+        find_onan(P, limit=-1)
 
 
 def test_onan_configuration_shape():
@@ -330,16 +332,16 @@ def test_onan_rejects_non_partial_linear():
 # --- incidence-v1 JSON ---
 
 def test_json_round_trip(h3, tmp_path):
-    from unitals.incidence import read_json, write_json
+    from unitals.incidence import format_json, read_json
     path = tmp_path / "h3.json"
-    write_json(h3, path)
+    path.write_text(format_json(h3), encoding="utf-8")
     back = read_json(path)
     assert back.blocks == h3.blocks
     assert back.num_points == h3.num_points
     assert back.labels == h3.labels
     # byte-identical when rewritten
     path2 = tmp_path / "again.json"
-    write_json(back, path2)
+    path2.write_text(format_json(back), encoding="utf-8")
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -6,6 +6,7 @@ from support import block_sets
 from unitals.errors import (
     AssumptionViolation,
     LemmaViolation,
+    NoEmbeddingFound,
     NotAffinePlane,
     NotInScope,
     QTooLargeForSearch,
@@ -237,6 +238,20 @@ def test_embed_full_pencils_arc_roundtrip_q4(pg4):
     assert len(w.deleted) == 5
     for hb in block_sets(w.host):
         assert len(hb & set(w.deleted)) <= 3
+
+
+def test_embed_full_pencils_exhausts_on_a_non_linear_space(pg3):
+    # swap one point between the first two blocks of PG(2,3) minus its
+    # conic: 9 points, 13 blocks and every pencil of size 4 survive, but
+    # the result is no longer a linear space, so no embedding exists
+    E = conic_deleted(pg3, 3)
+    A, B = map(set, E.blocks[:2])
+    x, y = min(A - B), min(B - A)
+    D = IncidenceStructure(9, [A - {x} | {y}, B - {y} | {x}, *E.blocks[2:]])
+    assert (len(D.blocks), {len(t) for t in D.point_blocks}) == (13, {4})
+    assert not check_assumptions(D, 3).is_linear_space
+    with pytest.raises(NoEmbeddingFound):
+        embed_full_pencils(D, 3)
 
 
 def test_embed_full_pencils_rejects_affine_input(pg3):
