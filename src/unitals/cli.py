@@ -8,11 +8,15 @@ Exit codes: 0 on success, 1 when a checked verification property fails
 (wrong parameters, configurations found against --expect-none, failed
 reconstruction or isomorphism), 2 on usage or I/O errors, 3 on any other
 exception (an internal error, such as running out of memory).
+
+The argument parser is built once per process, on the first main() call,
+and reused by later calls; each call parses its own argv.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -43,6 +47,7 @@ _VERIFICATION_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitals",
@@ -154,17 +159,19 @@ def cmd_graph(args) -> int:
 
 
 def cmd_srg(args) -> int:
+    # an order below 2 is a usage error, reported before any input is read
+    expected = (None if args.expect_unital is None
+                else confl.expected_unital_params(args.expect_unital))
     S = inc.read_json(args.input)
     G = confl.build_confluence(S)
     params = confl.srg_check(G)
     if params is None:
         print(f"vertices={G.n} not strongly regular")
-        return 1 if args.expect_unital is not None else 0
+        return 1 if expected is not None else 0
     bound = confl.hoffman_bound(params)
     print(f"v={params.v} k={params.k} lambda={params.lam} mu={params.mu} "
           f"r={params.r} s={params.s} hoffman_bound={bound}")
-    if args.expect_unital is not None:
-        expected = confl.expected_unital_params(args.expect_unital)
+    if expected is not None:
         if params != expected:
             print(f"MISMATCH: expected {expected} for a unital of order {args.expect_unital}")
             return 1

@@ -76,10 +76,11 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     is the start mask of S2 blocks that block b may land on. Each block's
     hosts are ANDed with the pencils of its assigned images; a block with
     one host claims it, and no other block may map into a claimed host.
-    A point's candidates are its allowed, unused S2 points on a host of
-    each touched block through it. Backtracking is deterministic: most
-    claimed, then most touched point first, lowest index on ties;
-    candidates ascending.
+    A point's candidates are its allowed, unused S2 points on the host of
+    each claimed block through it; a candidate on no host of another
+    touched block is rejected on assignment, as that block's hosts AND
+    to 0. Backtracking is deterministic: most claimed, then most touched
+    point first, lowest index on ties; candidates ascending.
     """
     n = S1.num_points
     pb1 = S1.point_blocks
@@ -134,11 +135,9 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     def candidates(p: int):
         mask = allowed[p] & ~used
         for b in pb1[p]:
-            if assigned_in[b]:
-                reach = 0
-                for c in _bits(hosts[b]):
-                    reach |= bm2[c]
-                mask &= reach
+            h = hosts[b]
+            if assigned_in[b] and not h & (h - 1):  # claimed
+                mask &= bm2[h.bit_length() - 1]
         return _bits(mask)
 
     # depth-first on an explicit stack (its depth reaches the point count);
@@ -487,12 +486,18 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
     negative one raises ValueError. The input must be a partial linear
     space, so two meeting blocks share exactly one point: the single bit
     of their block masks' AND.
+
+    Candidates are pruned by pencils (xy is the meet of blocks x and y):
+    k avoids the pencil of ij, and l those of ij, ik and jk. So no three
+    of the four blocks share a point, and the six meets are distinct by
+    construction: xy = xz would put one point on x, y and z, and xy = zw
+    one point on all four.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if not validate(S).is_partial_linear:
         raise ValueError("input is not a partial linear space")
-    rows, masks = S.block_rows, S.block_masks
+    rows, masks, pencils = S.block_rows, S.block_masks, S.pencil_masks
     nb = len(S.blocks)
     found: list[OnanConfiguration] = []
     for i in range(nb):
@@ -505,7 +510,7 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
             mj ^= jbit
             bj = masks[j]
             ij = (bi & bj).bit_length() - 1
-            cand_k = above_i & rows[j] >> (j + 1) << (j + 1)
+            cand_k = above_i & rows[j] >> (j + 1) << (j + 1) & ~pencils[ij]
             mk = cand_k
             while mk:
                 kbit = mk & -mk
@@ -514,7 +519,7 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
                 bk = masks[k]
                 ik = (bi & bk).bit_length() - 1
                 jk = (bj & bk).bit_length() - 1
-                ml = cand_k & rows[k] >> (k + 1) << (k + 1)
+                ml = cand_k & rows[k] >> (k + 1) << (k + 1) & ~(pencils[ik] | pencils[jk])
                 while ml:
                     lbit = ml & -ml
                     l = lbit.bit_length() - 1
@@ -522,11 +527,10 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
                     bl = masks[l]
                     pts = (ij, ik, (bi & bl).bit_length() - 1, jk,
                            (bj & bl).bit_length() - 1, (bk & bl).bit_length() - 1)
-                    if len(set(pts)) == 6:
-                        found.append(OnanConfiguration(
-                            blocks=(i, j, k, l), points=tuple(sorted(pts))))
-                        if limit and len(found) >= limit:
-                            return found
+                    found.append(OnanConfiguration(
+                        blocks=(i, j, k, l), points=tuple(sorted(pts))))
+                    if limit and len(found) >= limit:
+                        return found
     return found
 
 

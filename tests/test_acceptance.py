@@ -159,6 +159,10 @@ def test_c07_onan_scan(h2, h3, h4):
     assert find_onan(h4) == []
     t4 = time.perf_counter() - start
     assert t4 < 300.0, f"exhaustive q=4 scan took {t4:.1f}s, limit 5min"
+    h5 = hermitian_unital(5)
+    start = time.perf_counter()
+    assert find_onan(h5) == []
+    t5 = time.perf_counter() - start
     pg2 = projective_plane(2)
     found = find_onan(pg2)
     assert len(found) >= 1
@@ -180,8 +184,9 @@ def test_c07_onan_scan(h2, h3, h4):
 
     assert [c.blocks for c in found] == oracle(pg2)
     assert [c.blocks for c in find_onan(h2)] == oracle(h2) == []
-    _report("criterion 7", "0 configurations in H(2),H(3),H(4) "
-            f"(q=4 exhaustive in {t4:.2f}s); {len(found)} in the 7-point plane; "
+    _report("criterion 7", "0 configurations in H(2),H(3),H(4),H(5) "
+            f"(q=4 exhaustive in {t4:.2f}s, q=5 in {t5:.2f}s); "
+            f"{len(found)} in the 7-point plane; "
             "oracle agreement")
 
 

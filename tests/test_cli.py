@@ -82,8 +82,13 @@ def test_srg_reports_and_verifies(capsys, h3_json):
     assert "v=63 k=32 lambda=16 mu=16 r=4 s=-4 hoffman_bound=9" in out
 
 
-def test_srg_mismatch_fails(h3_json):
+def test_srg_mismatch_fails(h3_json, capsys):
     assert run("srg", str(h3_json), "--expect-unital", "4") == 1
+    capsys.readouterr()
+    # no unital has order below 2: a usage error, before the input is read
+    assert run("srg", str(h3_json), "--expect-unital", "0") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
 
 
 def test_srg_non_srg_input(tmp_path, capsys):
@@ -94,6 +99,12 @@ def test_srg_non_srg_input(tmp_path, capsys):
     assert run("srg", str(path)) == 0
     assert "not strongly regular" in capsys.readouterr().out
     assert run("srg", str(path), "--expect-unital", "2") == 1
+    capsys.readouterr()
+    pg3 = tmp_path / "pg3.json"
+    assert run("build", "pg", "--q", "3", "-o", str(pg3)) == 0
+    assert run("srg", str(pg3), "--expect-unital", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
 
 
 def test_cliques_classify_verifies_unital(capsys, h3_json, tmp_path):
@@ -281,3 +292,22 @@ def test_bad_json_is_usage_error(tmp_path):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     capsys.readouterr()
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    fano = tmp_path / "pg2.json"
+    assert run("build", "pg", "--q", "2", "-o", str(fano)) == 0
+    assert run("onan", str(fano), "--limit", "3") == 0
+    assert capsys.readouterr().out.startswith("onan_configurations=3\n")
+    assert run("onan", str(fano)) == 0
+    assert capsys.readouterr().out.startswith("onan_configurations=7\n")
+    assert run("onan", str(fano), "--limit", "x") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--limit" in err
+    assert run("onan", str(fano), "--expect-none") == 1
+    assert capsys.readouterr().out.startswith("onan_configurations=7\n")
+    assert run("--help") == 0
+    assert "usage: unitals" in capsys.readouterr().out
+    assert run("onan", str(fano), "--limit", "2") == 0
+    assert capsys.readouterr().out.startswith("onan_configurations=2\n")

@@ -1,5 +1,6 @@
 """Incidence structures: constructions, searches, serialization."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -294,12 +295,34 @@ def test_onan_hermitian_empty(h3, h2):
     assert find_onan(h2) == []
 
 
-def test_onan_fano_plane_matches_oracle():
-    P = projective_plane(2)
-    found = find_onan(P)
-    oracle = _onan_oracle(P)
-    assert [c.blocks for c in found] == oracle
-    assert len(found) == 7
+def _seeded_puncture(q, size, seed):
+    plane = projective_plane(q)
+    return puncture(plane, random.Random(seed).sample(range(plane.num_points), size))
+
+
+# partial linear spaces: all but pg2 have non-meeting blocks, all but ag3 hits
+_ONAN_INPUTS = {
+    "pg2": (lambda: projective_plane(2), 7),
+    "ag3": (lambda: affine_plane(3), 0),
+    "ag4": (lambda: affine_plane(4), 240),
+    "pg3-conic": (lambda: puncture(projective_plane(3), conic_points(3)), 11),
+    "pg4-conic": (lambda: puncture(projective_plane(4), conic_points(4)), 375),
+    "pg3-seed1": (lambda: _seeded_puncture(3, 3, 1), None),
+    "pg4-seed2": (lambda: _seeded_puncture(4, 4, 2), None),
+    "pg5-seed3": (lambda: _seeded_puncture(5, 5, 3), None),
+}
+
+
+@pytest.mark.parametrize("name", _ONAN_INPUTS)
+def test_onan_matches_oracle(name):
+    build, count = _ONAN_INPUTS[name]
+    S = build()
+    found = find_onan(S)
+    assert [c.blocks for c in found] == _onan_oracle(S)
+    if count is not None:
+        assert len(found) == count
+    for k in (1, 5, 37):
+        assert find_onan(S, limit=k) == found[:k]
 
 
 def test_onan_oracle_agreement_on_h2(h2):
