@@ -74,6 +74,7 @@ def _check_witness(S1, S2, witness):
 # shows up here even when every witness stays valid
 WITNESS_DIGESTS = {
     "h3": "466f40657799f34666d0decaafd9dcaac5ab0823fbd9f711bc4f8d1eba934c94",
+    "h4": "c2066c5dfd39a3a1dd5fc691a046045c938e1dffb1c6505e49a399e3e893e8de",
     "pg4": "a218eab694d2ac336fd28ba5a3c6012732277830880a94068053bd2145f96d19",
     "pg4-conic": "9e25e3419c21cdd7cec517e91c34fc11a64551959fcc84a69c1a33429ecc0601",
 }
@@ -83,6 +84,8 @@ RELABEL_SEEDS = range(16)
 def _witness_original(name):
     if name == "h3":
         return hermitian_unital(3)
+    if name == "h4":
+        return hermitian_unital(4)
     if name == "pg4":
         return projective_plane(4)
     return puncture(projective_plane(4), conic_points(4))  # the full-pencils case
