@@ -80,57 +80,71 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     each claimed block through it; a candidate on no host of another
     touched block is rejected on assignment, as that block's hosts AND
     to 0. Backtracking is deterministic: most claimed, then most touched
-    point first, lowest index on ties; candidates ascending.
+    point first, lowest index on ties; candidates ascending. The pick
+    scores are kept up to date on assign and undo, never recomputed.
     """
     n = S1.num_points
-    pb1 = S1.point_blocks
+    pb1, blocks1 = S1.point_blocks, S1.blocks
     pm2, bm2 = S2.pencil_masks, S2.block_masks
     sigma: list[int | None] = [None] * n
-    assigned_in = [0] * len(S1.blocks)  # assigned points per S1 block
+    assigned_in = [0] * len(blocks1)  # assigned points per S1 block
     hosts = list(hosts)
     used = claimed = 0                   # S2 points taken; S2 blocks claimed
+    # a block weighs 0 untouched, 1 touched and wide claimed, so a point's
+    # score, the sum over the blocks through it, orders like (claimed
+    # blocks, touched blocks) through it; an assigned point's score is
+    # lowered by `assigned`, which puts it below every unassigned one
+    wide = max(map(len, pb1), default=0) + 2
+    assigned = wide * wide
+    score = [0] * n
 
     def try_assign(p: int, h: int):
         """Apply sigma[p] = h; return its undo record, or None on conflict."""
         nonlocal used, claimed
-        record = [(b, hosts[b]) for b in pb1[p]], claimed
+        gains: list = []  # (points of a block, gain of its weight)
+        record = [(b, hosts[b]) for b in pb1[p]], claimed, gains
         sigma[p] = h
         used |= 1 << h
         for b in pb1[p]:
             assigned_in[b] += 1
         for b, old in record[0]:
             new = hosts[b] = old & pm2[h]
+            first = assigned_in[b] == 1
+            if new & (new - 1):
+                if first:
+                    gains.append((blocks1[b], 1))
             # claim a host that is now the block's only one
-            if not new & (new - 1) and (new != old or assigned_in[b] == 1):
+            elif new != old or first:
                 if not new or new & claimed:  # no host left, or another block's
                     undo(p, h, record)
                     return None
                 claimed |= new
+                gains.append((blocks1[b], wide if first else wide - 1))
+        rescore(p, gains, 1)
         return record
+
+    def rescore(p: int, gains, sign: int) -> None:
+        """Add (sign 1) or take back (sign -1) the score changes of the
+        assignment of p."""
+        score[p] -= sign * assigned
+        for points, gain in gains:
+            gain *= sign
+            for x in points:
+                score[x] += gain
 
     def undo(p: int, h: int, record) -> None:
         nonlocal used, claimed
-        saved, claimed = record
+        saved, claimed, _ = record
         for b, old in saved:
             hosts[b] = old
             assigned_in[b] -= 1
         sigma[p] = None
         used ^= 1 << h
 
-    wide = max(map(len, pb1), default=0) + 2
-
     def pick() -> int | None:
-        # a touched block weighs 1 and a claimed one wide, so a point's sum
-        # orders like (claimed blocks, touched blocks) through it
-        weight = [0 if not a else 1 if h & (h - 1) else wide
-                  for a, h in zip(assigned_in, hosts)]
-        best_p, best_score = None, -1
-        for p in range(n):
-            if sigma[p] is None:
-                score = sum(map(weight.__getitem__, pb1[p]))
-                if score > best_score:
-                    best_score, best_p = score, p
-        return best_p
+        # the highest-scored unassigned point, lowest index on ties
+        p = max(range(n), key=score.__getitem__, default=None)
+        return None if p is None or score[p] < 0 else p
 
     def candidates(p: int):
         mask = allowed[p] & ~used
@@ -151,6 +165,7 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         frame = stack[-1]
         p, remaining, applied = frame
         if applied is not None:  # the deeper search failed
+            rescore(p, applied[1][2], -1)
             undo(p, *applied)
             frame[2] = None
         for h in remaining:
@@ -338,6 +353,8 @@ def _pg_data(field: FieldSpec) -> tuple[list[tuple[int, int, int]], list[list[in
     normalized so the first nonzero coordinate is 1, listed in ascending
     lexicographic order. Line i has the same coordinate triple as point i
     (the standard duality); its row lists the indices of incident points.
+    Each line a*x + b*y + c*z = 0 is solved for its q+1 points directly,
+    and its row comes out ascending.
     """
     q = field.order
     points = [(0, 0, 1)]
@@ -345,12 +362,20 @@ def _pg_data(field: FieldSpec) -> tuple[list[tuple[int, int, int]], list[list[in
     points += [(1, y, z) for y in range(q) for z in range(q)]
     add = [[field.add_idx(a, b) for b in range(q)] for a in range(q)]
     mul = [[field.mul_idx(a, b) for b in range(q)] for a in range(q)]
+    neg = [row.index(0) for row in add]
+    inv = [0] + [field.pow_idx(a, -1) for a in range(1, q)]
+    # (0:0:1) is point 0, (0:1:z) point 1 + z, (1:y:z) point q+1 + y*q + z
     rows = []
     for a, b, c in points:
-        ma, mb, mc = mul[a], mul[b], mul[c]
-        row = [i for i, (x, y, z) in enumerate(points)
-               if add[add[ma[x]][mb[y]]][mc[z]] == 0]
-        rows.append(row)
+        if c:  # z = -(a*x + b*y)/c on (0:1:z) and on every (1:y:z)
+            by, over_c = mul[b], mul[neg[inv[c]]]
+            rows.append([1 + over_c[b]] + [q + 1 + y * q + over_c[add[a][by[y]]]
+                                           for y in range(q)])
+        elif b:  # (0:0:1) and (1:-a/b:z) for every z
+            start = q + 1 + mul[neg[a]][inv[b]] * q
+            rows.append([0] + list(range(start, start + q)))
+        else:  # (0:0:1) and (0:1:z) for every z
+            rows.append(list(range(q + 1)))
     return points, rows
 
 

@@ -141,6 +141,10 @@ def _refined_colors(S1: IncidenceStructure,
     """
     n = S1.num_points
     cc1, cc2 = S1.pair_counts, S2.pair_counts
+    # a (color, count) pair is keyed as color * w + count: every count is
+    # below w, so the ints sort as the pairs would, and sorting ints is
+    # cheaper than sorting pairs
+    w = max(len(S1.blocks), len(S2.blocks)) + 1
 
     def initial(S):
         return [(len(S.point_blocks[p]),
@@ -158,9 +162,9 @@ def _refined_colors(S1: IncidenceStructure,
         if new1 == col1 and new2 == col2:
             return col1, col2
         col1, col2 = new1, new2
-        key1 = [(col1[p], tuple(sorted((col1[x], c) for x, c in cc1[p].items())))
+        key1 = [(col1[p], tuple(sorted(col1[x] * w + c for x, c in cc1[p].items())))
                 for p in range(n)]
-        key2 = [(col2[p], tuple(sorted((col2[x], c) for x, c in cc2[p].items())))
+        key2 = [(col2[p], tuple(sorted(col2[x] * w + c for x, c in cc2[p].items())))
                 for p in range(n)]
 
 

@@ -75,3 +75,20 @@ def block_sets(S) -> tuple[frozenset[int], ...]:
     """Each block of S as a frozenset, built from the block tuples alone, so
     set-based oracles stay independent of the library's bitset tables."""
     return tuple(frozenset(b) for b in S.blocks)
+
+
+def pg_data_oracle(field) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """Points and line rows of PG(2, field.order) by testing every point
+    against every line: the O(N^2) reference for incidence._pg_data."""
+    q = field.order
+    points = [(0, 0, 1)]
+    points += [(0, 1, z) for z in range(q)]
+    points += [(1, y, z) for y in range(q) for z in range(q)]
+    add = [[field.add_idx(a, b) for b in range(q)] for a in range(q)]
+    mul = [[field.mul_idx(a, b) for b in range(q)] for a in range(q)]
+    rows = []
+    for a, b, c in points:
+        ma, mb, mc = mul[a], mul[b], mul[c]
+        rows.append([i for i, (x, y, z) in enumerate(points)
+                     if add[add[ma[x]][mb[y]]][mc[z]] == 0])
+    return points, rows

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import block_sets
+from support import block_sets, pg_data_oracle
 
+from unitals.algebra import field_create, prime_power, quadratic_extension
 from unitals.errors import (
     DegeneratePoint,
     FormatError,
@@ -18,6 +19,7 @@ from unitals.errors import (
 )
 from unitals.incidence import (
     IncidenceStructure,
+    _pg_data,
     affine_plane,
     conic_points,
     dual,
@@ -108,6 +110,12 @@ def test_projective_plane_axioms_exhaustive(q):
         assert sum(1 for s in sets if a in s and b in s) == 1
     for i, j in combinations(range(len(P.blocks)), 2):
         assert len(sets[i] & sets[j]) == 1
+
+
+@pytest.mark.parametrize("field", [field_create(*prime_power(q)) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [quadratic_extension(q) for q in (2, 3, 4)], ids=repr)
+def test_pg_lines_match_incidence_test(field):
+    assert _pg_data(field) == pg_data_oracle(field)
 
 
 def test_projective_plane_rejects_non_prime_power():

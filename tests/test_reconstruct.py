@@ -114,6 +114,15 @@ def test_isomorphic_witnesses_are_pinned(name):
     assert hashlib.sha256(text).hexdigest() == WITNESS_DIGESTS[name]
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relabelled_h5_is_isomorphic(seed):
+    # a real search on the 2-transitive h5 (one color class after
+    # refinement); these seeds take about 0.2 s each
+    h5 = hermitian_unital(5)
+    relabelled = _seeded_relabelling(h5, seed)
+    _check_witness(relabelled, h5, isomorphic(relabelled, h5))
+
+
 def _pasch_configs(S):
     """Block quadruples on 6 points, pairwise meeting once, each point on 2.
 
