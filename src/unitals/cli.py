@@ -113,6 +113,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _deletion_set(plane: inc.IncidenceStructure, spec: str, q: int) -> set[int]:
+    if spec in ("line", "line-swap") and not plane.blocks:
+        raise ValueError(f"--delete {spec} needs a block 0")
     if spec == "line":
         return set(plane.blocks[0])
     if spec == "line-swap":

@@ -11,12 +11,11 @@ GF(q), the affine plane AG(2,q), point-set deletions ("punctures"),
 the Hermitian unital of order q (absolute points of a unitary polarity
 of PG(2,q^2) with its secant-line sections), and duals.
 
-Derived tables, cached on each structure, are the one source of block
-adjacency, meets and pair coverage for the whole library: the bitsets
+Three bitset tables, cached on each structure, are the one source of
+block adjacency, meets, joins and pair coverage for the whole library:
 ``pencil_masks`` (blocks through each point), ``block_masks`` (points of
-each block) and ``block_rows`` (blocks meeting each block), and
-``pair_counts`` (blocks through each pair of points). Two blocks of a
-partial linear space meet in the single point of their masks' AND, and
+each block) and ``block_rows`` (blocks meeting each block). Two blocks of
+a partial linear space meet in the single point of their masks' AND, and
 two points are joined by the single block of their pencil masks' AND.
 These masks are the library's one set type for blocks and pencils: every
 membership, containment, meet and join question is answered with them.
@@ -32,10 +31,9 @@ format_json, the one writer, whose text the CLI emits).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import FieldSpec, field_create, prime_power, quadratic_extension
 from .errors import (
@@ -250,20 +248,6 @@ class IncidenceStructure:
             rows.append(row & ~(1 << i))
         return tuple(rows)
 
-    @cached_property
-    def pair_counts(self) -> tuple[dict[int, int], ...]:
-        """For each point, a map from every point it shares a block with to
-        the number of blocks through both. Read-only."""
-        counts: list[dict[int, int]] = [{} for _ in range(self.num_points)]
-        for block in self.blocks:
-            for j, a in enumerate(block):
-                ca = counts[a]
-                for b in block[j + 1:]:
-                    ca[b] = ca.get(b, 0) + 1
-                    cb = counts[b]
-                    cb[a] = cb.get(a, 0) + 1
-        return tuple(counts)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IncidenceStructure)
                 and self.num_points == other.num_points
@@ -278,47 +262,40 @@ class IncidenceStructure:
 
 @dataclass
 class DesignReport:
-    """Pair-coverage and regularity summary of a structure."""
+    """Pair-coverage summary of a structure."""
     is_partial_linear: bool          # every point pair on at most one block
     is_linear_space: bool            # every point pair on exactly one block
-    pair_coverage_histogram: dict[int, int]   # coverage count -> number of pairs
-    point_degree_histogram: dict[int, int]    # degree -> number of points
-    block_size_histogram: dict[int, int]      # size -> number of blocks
 
 
-@dataclass(frozen=True)
-class OnanConfiguration:
+class OnanConfiguration(NamedTuple):
     """Four mutually intersecting blocks whose six pairwise intersection
     points are distinct; each point then lies on exactly 2 of the blocks
     and each block carries exactly 3 of the points."""
     blocks: tuple[int, int, int, int]
     points: tuple[int, ...]
 
-    def __post_init__(self):
-        assert len(self.points) == 6
-
 
 def validate(S: IncidenceStructure) -> DesignReport:
-    """Exhaustive pair scan; histograms plus linearity flags."""
-    twice: Counter[int] = Counter()
-    for counts in S.pair_counts:
-        twice.update(counts.values())
-    # pair_counts holds every covered pair once from each end
-    hist = Counter({c: k // 2 for c, k in twice.items()})
-    covered = sum(hist.values())
-    total_pairs = S.num_points * (S.num_points - 1) // 2
-    if covered < total_pairs:
-        hist[0] = total_pairs - covered
-    degrees = Counter(len(t) for t in S.point_blocks)
-    sizes = Counter(len(b) for b in S.blocks)
-    max_cov = max(hist) if hist else 0
-    return DesignReport(
-        is_partial_linear=max_cov <= 1,
-        is_linear_space=max_cov <= 1 and covered == total_pairs,
-        pair_coverage_histogram=dict(sorted(hist.items())),
-        point_degree_histogram=dict(sorted(degrees.items())),
-        block_size_histogram=dict(sorted(sizes.items())),
-    )
+    """Linearity flags from one pass over the pencils.
+
+    The blocks through p cover p and 1 + sum(|B| - 1) points between them
+    exactly when no other point shares two of them with p; S is linear
+    when, in addition, they cover every point.
+    """
+    every = (1 << S.num_points) - 1
+    masks = S.block_masks
+    others = [len(b) - 1 for b in S.blocks]
+    linear = True
+    for p, through in enumerate(S.point_blocks):
+        covered, count = 1 << p, 1
+        for b in through:
+            covered |= masks[b]
+            count += others[b]
+        if covered.bit_count() != count:
+            return DesignReport(is_partial_linear=False, is_linear_space=False)
+        if covered != every:
+            linear = False
+    return DesignReport(is_partial_linear=True, is_linear_space=linear)
 
 
 def validate_unital(S: IncidenceStructure) -> int | None:
@@ -552,8 +529,7 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
                     bl = masks[l]
                     pts = (ij, ik, (bi & bl).bit_length() - 1, jk,
                            (bj & bl).bit_length() - 1, (bk & bl).bit_length() - 1)
-                    found.append(OnanConfiguration(
-                        blocks=(i, j, k, l), points=tuple(sorted(pts))))
+                    found.append(OnanConfiguration((i, j, k, l), tuple(sorted(pts))))
                     if limit and len(found) >= limit:
                         return found
     return found

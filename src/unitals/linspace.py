@@ -30,6 +30,7 @@ complete.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -205,12 +206,11 @@ def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
     q = isqrt(n)
     if q < 2 or q * q != n:
         raise NotAffinePlane(f"{n} points is not a square of an order >= 2")
-    report = validate(D)
-    if not report.is_linear_space:
+    if not validate(D).is_linear_space:
         raise NotAffinePlane("not a linear space")
-    if report.block_size_histogram != {q: q * q + q}:
-        raise NotAffinePlane(
-            f"line profile {report.block_size_histogram} != {{{q}: {q * q + q}}}")
+    profile = dict(sorted(Counter(map(len, D.blocks)).items()))
+    if profile != {q: q * q + q}:
+        raise NotAffinePlane(f"line profile {profile} != {{{q}: {q * q + q}}}")
     masks = D.block_masks
     nb = len(D.blocks)
     unassigned = (1 << nb) - 1

@@ -140,7 +140,20 @@ def _refined_colors(S1: IncidenceStructure,
     isomorphic); otherwise the stable coloring.
     """
     n = S1.num_points
-    cc1, cc2 = S1.pair_counts, S2.pair_counts
+
+    def common_blocks(S):
+        # for each point, the number of blocks it shares with each other point
+        counts: list[dict[int, int]] = [{} for _ in range(n)]
+        for block in S.blocks:
+            for j, a in enumerate(block):
+                ca = counts[a]
+                for b in block[j + 1:]:
+                    ca[b] = ca.get(b, 0) + 1
+                    cb = counts[b]
+                    cb[a] = cb.get(a, 0) + 1
+        return counts
+
+    cc1, cc2 = common_blocks(S1), common_blocks(S2)
     # a (color, count) pair is keyed as color * w + count: every count is
     # below w, so the ints sort as the pairs would, and sorting ints is
     # cheaper than sorting pairs

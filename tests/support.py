@@ -1,5 +1,8 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
+from collections import Counter
+from itertools import combinations
+
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError
 
@@ -92,3 +95,20 @@ def pg_data_oracle(field) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
         rows.append([i for i, (x, y, z) in enumerate(points)
                      if add[add[ma[x]][mb[y]]][mc[z]] == 0])
     return points, rows
+
+
+def pair_coverage(S) -> Counter:
+    """Number of blocks through each covered point pair (a, b), a < b, by
+    scanning every pair of every block: the reference for validate."""
+    counts: Counter = Counter()
+    for block in S.blocks:
+        counts.update(combinations(block, 2))
+    return counts
+
+
+def linearity_oracle(S) -> tuple[bool, bool]:
+    """(is_partial_linear, is_linear_space) from the pair scan."""
+    counts = pair_coverage(S)
+    partial = all(c == 1 for c in counts.values())
+    n = S.num_points
+    return partial, partial and len(counts) == n * (n - 1) // 2

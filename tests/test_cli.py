@@ -264,13 +264,19 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
-def test_line_swap_without_a_point_off_block_0_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("spec, blocks", [
+    ("line-swap", [[0, 1, 2]]),
+    ("line", []),
+    ("line-swap", []),
+], ids=["line-swap-one-block", "line-blockless", "line-swap-blockless"])
+def test_line_swap_without_a_point_off_block_0_is_usage_error(tmp_path, capsys, spec, blocks):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"format": "incidence-v1", "num_points": 3,
-                                "blocks": [[0, 1, 2]]}))
+                                "blocks": blocks}))
     assert run("build", "puncture", "--q", "2", "--in", str(path),
-               "--delete", "line-swap") == 2
-    assert "line-swap" in capsys.readouterr().err
+               "--delete", spec) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --delete {spec} needs") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()])

@@ -1,12 +1,13 @@
 """Incidence structures: constructions, searches, serialization."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import block_sets, pg_data_oracle
+from support import block_sets, linearity_oracle, pair_coverage, pg_data_oracle
 
 from unitals.algebra import field_create, prime_power, quadratic_extension
 from unitals.errors import (
@@ -56,10 +57,9 @@ def test_constructor_rejects_malformed(blocks, msg):
 
 
 def test_validate_projective_plane(pg3):
-    report = validate(pg3)
-    assert report.is_linear_space
-    assert report.block_size_histogram == {4: 13}
-    assert report.point_degree_histogram == {4: 13}
+    assert validate(pg3).is_linear_space
+    assert Counter(map(len, pg3.blocks)) == {4: 13}
+    assert Counter(map(len, pg3.point_blocks)) == {4: 13}
 
 
 def test_validate_double_covered_pair():
@@ -67,14 +67,44 @@ def test_validate_double_covered_pair():
     report = validate(S)
     assert not report.is_partial_linear
     assert not report.is_linear_space
-    assert report.pair_coverage_histogram[2] == 1  # the pair {1,2}
+    assert {pair: c for pair, c in pair_coverage(S).items() if c > 1} == {(1, 2): 2}
+
+
+def _flag_corpus(rng):
+    """Structures for the validate-versus-oracle check: planes and their
+    seeded punctures, and random small structures (isolated points and
+    doubly covered pairs included)."""
+    yield IncidenceStructure(0, [])
+    yield IncidenceStructure(1, [])
+    yield IncidenceStructure(2, [])
+    yield IncidenceStructure(3, [[0, 1]])
+    yield IncidenceStructure(3, [[0, 1], [0, 2], [1, 2]])
+    yield IncidenceStructure(3, [[0, 1], [0, 1, 2]])
+    for plane in [projective_plane(q) for q in (2, 3, 4, 5)] + [affine_plane(q) for q in (3, 4)]:
+        yield plane
+        for _ in range(8):
+            yield puncture(plane, rng.sample(range(plane.num_points), rng.randint(1, 7)))
+    for _ in range(150):
+        n = rng.randrange(10)
+        blocks = {tuple(sorted(rng.sample(range(n), rng.randint(2, min(n, 4)))))
+                  for _ in range(rng.randrange(8) if n >= 2 else 0)}
+        yield IncidenceStructure(n, blocks)
+
+
+def test_validate_flags_match_pair_scan(h2, h3, h4):
+    seen = set()
+    for S in [h2, h3, h4, *_flag_corpus(random.Random(9))]:
+        report = validate(S)
+        flags = report.is_partial_linear, report.is_linear_space
+        assert flags == linearity_oracle(S), S
+        seen.add(flags)
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_validate_hermitian_q3(h3):
-    report = validate(h3)
-    assert report.is_linear_space
-    assert report.point_degree_histogram == {9: 28}
-    assert report.block_size_histogram == {4: 63}
+    assert validate(h3).is_linear_space
+    assert Counter(map(len, h3.point_blocks)) == {9: 28}
+    assert Counter(map(len, h3.blocks)) == {4: 63}
 
 
 def test_validate_unital_hermitian_q3(h3):
@@ -127,7 +157,7 @@ def test_projective_plane_rejects_non_prime_power():
 def test_affine_plane_counts(q, points, lines, size):
     A = affine_plane(q)
     assert A.num_points == points and len(A.blocks) == lines
-    assert validate(A).block_size_histogram == {size: lines}
+    assert Counter(map(len, A.blocks)) == {size: lines}
     assert validate(A).is_linear_space
 
 
@@ -149,7 +179,7 @@ def test_puncture_line_swap(pg3):
 def test_puncture_conic(pg3):
     D = puncture(pg3, conic_points(3))
     assert D.num_points == 9 and len(D.blocks) == 13
-    assert validate(D).block_size_histogram == {2: 6, 3: 4, 4: 3}
+    assert Counter(map(len, D.blocks)) == {2: 6, 3: 4, 4: 3}
 
 
 def test_conic_has_no_three_collinear(pg3):
@@ -217,7 +247,7 @@ def test_dual_involution_pg2():
 def test_dual_of_ag2_is_onan_shape():
     D = dual(affine_plane(2))
     assert D.num_points == 6 and len(D.blocks) == 4
-    assert validate(D).block_size_histogram == {3: 4}
+    assert Counter(map(len, D.blocks)) == {3: 4}
     assert len(find_onan(D)) == 1  # it is itself the whole configuration
 
 

@@ -154,8 +154,9 @@ def test_complete_affine_ag2_hosts_fano():
 def test_complete_affine_rejects_non_affine(pg3):
     with pytest.raises(NotAffinePlane):
         complete_affine(pg3)
-    with pytest.raises(NotAffinePlane):
+    with pytest.raises(NotAffinePlane) as info:
         complete_affine(conic_deleted(pg3, 3))
+    assert str(info.value) == "line profile {2: 6, 3: 4, 4: 3} != {3: 12}"
 
 
 def test_complete_thin_point_roundtrip(pg3):
