@@ -278,12 +278,15 @@ def cmd_reconstruct(args) -> int:
               f"{result.structure.num_points} points, "
               f"{len(result.structure.blocks)} blocks{note}")
     if args.verify:
+        # stdout carries the JSON when there is no -o, so the verdict goes aside
+        verdict_to = sys.stdout if args.output is not None else sys.stderr
         target = inc.read_json(args.verify)
         witness = rec.isomorphic(result.structure, target)
         if witness is None:
-            print("verification FAILED: rebuilt structure is not isomorphic to the target")
+            print("verification FAILED: rebuilt structure is not isomorphic to the target",
+                  file=verdict_to)
             return 1
-        print("verified: isomorphic to the target structure")
+        print("verified: isomorphic to the target structure", file=verdict_to)
     return 0
 
 

@@ -6,8 +6,9 @@ can be rebuilt from the bare graph: take the size-q^2 cliques as points
 and let each graph vertex give the block of cliques containing it. For
 q = 2 pencil recognition fails (the 12-vertex graph has 81 maximal
 cliques of size 4, far more than the 9 pencils); since all unitals of
-order 2 are isomorphic, the canonical affine plane of order 3 is
-returned instead, flagged as the shortcut.
+order 2 are isomorphic and SRG(12, 9, 6, 9) is their graph alone, a
+graph with those parameters gets the canonical affine plane of order 3,
+flagged as the shortcut.
 
 Graph isomorphisms between confluence graphs of unitals of order q > 2
 extend to incidence isomorphisms: the image of each pencil is a size-q^2
@@ -24,14 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import enumerate_maximal_cliques
-from .confluence import ConfluenceGraph, build_confluence, infer_order
+from .confluence import ConfluenceGraph, expected_unital_params, infer_order, srg_check
 from .errors import (
     MalformedStructure,
     NotAGraphIsomorphism,
     NotAUnitalGraph,
     PencilImageNotAPencil,
 )
-from .incidence import IncidenceStructure, _common, _map_points, affine_plane, validate_unital
+from .incidence import (
+    IncidenceStructure,
+    _bits,
+    _common,
+    _map_points,
+    affine_plane,
+    validate_unital,
+)
 
 
 @dataclass
@@ -57,6 +65,12 @@ def reconstruct_unital(G: ConfluenceGraph) -> Reconstruction:
         raise NotAUnitalGraph(
             f"no q >= 2 matches {G.n} vertices with the required regularity")
     if q == 2:
+        # K_{3,3,3,3}, the confluence graph of AG(2,3), is the one graph
+        # with these parameters; other 9-regular graphs on 12 vertices
+        # must not take the shortcut
+        if srg_check(G) != expected_unital_params(2):
+            raise NotAUnitalGraph("12-vertex graph is not the order-2 "
+                                  "unital graph SRG(12, 9, 6, 9)")
         return Reconstruction(q=2, point_cliques=(),
                               structure=affine_plane(3), via_q2_shortcut=True)
     point_cliques = tuple(c for c in enumerate_maximal_cliques(G)
@@ -100,13 +114,16 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
     n = len(S.blocks)
     if sorted(beta) != list(range(n)) or len(S2.blocks) != n:
         raise NotAGraphIsomorphism("beta is not a bijection on block indices")
-    g1 = build_confluence(S)
-    g2 = build_confluence(S2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g1.adjacent(i, j) != g2.adjacent(beta[i], beta[j]):
-                raise NotAGraphIsomorphism(
-                    f"adjacency differs at block pair ({i}, {j})")
+    inverse = [0] * n
+    for i, image in enumerate(beta):
+        inverse[image] = i
+    for i, row in enumerate(S.block_rows):
+        # beta's image of row i against the row of beta[i]; rows are
+        # symmetric, so the lowest differing j is above i
+        diff = sum(1 << beta[j] for j in _bits(row)) ^ S2.block_rows[beta[i]]
+        if diff:
+            j = min(inverse[k] for k in _bits(diff))
+            raise NotAGraphIsomorphism(f"adjacency differs at block pair ({i}, {j})")
 
     point_map: list[int] = []
     for u in range(S.num_points):
@@ -130,41 +147,21 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
 
 def _refined_colors(S1: IncidenceStructure,
                     S2: IncidenceStructure) -> tuple[list[int], list[int]] | None:
-    """Jointly refine point colors of both structures.
+    """Jointly refine point colors of both structures, from the blocks alone.
 
-    Start from (degree, incident block sizes), then repeatedly extend each
-    point's color by the multiset of (other point's color, number of
-    common blocks) over the points it shares a block with, renaming
-    colors through a palette shared by both structures. Returns None as
-    soon as the color multisets diverge (the structures cannot be
-    isomorphic); otherwise the stable coloring.
+    Start from the sorted sizes of the blocks through each point, then
+    repeatedly extend each point's color by the sorted colors of its block
+    mates, read off the blocks through it (a point sharing k blocks with it
+    counts k times), renaming colors through a palette shared by both
+    structures. Returns None as soon as the color multisets diverge (the
+    structures cannot be isomorphic; the first round already compares the
+    block sizes); otherwise the stable coloring.
     """
     n = S1.num_points
-
-    def common_blocks(S):
-        # for each point, the number of blocks it shares with each other point
-        counts: list[dict[int, int]] = [{} for _ in range(n)]
-        for block in S.blocks:
-            for j, a in enumerate(block):
-                ca = counts[a]
-                for b in block[j + 1:]:
-                    ca[b] = ca.get(b, 0) + 1
-                    cb = counts[b]
-                    cb[a] = cb.get(a, 0) + 1
-        return counts
-
-    cc1, cc2 = common_blocks(S1), common_blocks(S2)
-    # a (color, count) pair is keyed as color * w + count: every count is
-    # below w, so the ints sort as the pairs would, and sorting ints is
-    # cheaper than sorting pairs
-    w = max(len(S1.blocks), len(S2.blocks)) + 1
-
-    def initial(S):
-        return [(len(S.point_blocks[p]),
-                 tuple(sorted(len(S.blocks[i]) for i in S.point_blocks[p])))
-                for p in range(n)]
-
-    key1, key2 = initial(S1), initial(S2)
+    pb1, pb2 = S1.point_blocks, S2.point_blocks
+    bl1, bl2 = S1.blocks, S2.blocks
+    key1 = [tuple(sorted(len(bl1[i]) for i in pb1[p])) for p in range(n)]
+    key2 = [tuple(sorted(len(bl2[i]) for i in pb2[p])) for p in range(n)]
     col1 = col2 = None
     while True:
         palette = {k: i for i, k in enumerate(sorted(set(key1) | set(key2)))}
@@ -175,9 +172,9 @@ def _refined_colors(S1: IncidenceStructure,
         if new1 == col1 and new2 == col2:
             return col1, col2
         col1, col2 = new1, new2
-        key1 = [(col1[p], tuple(sorted(col1[x] * w + c for x, c in cc1[p].items())))
+        key1 = [(col1[p], tuple(sorted(col1[x] for i in pb1[p] for x in bl1[i])))
                 for p in range(n)]
-        key2 = [(col2[p], tuple(sorted(col2[x] * w + c for x, c in cc2[p].items())))
+        key2 = [(col2[p], tuple(sorted(col2[x] for i in pb2[p] for x in bl2[i])))
                 for p in range(n)]
 
 
@@ -193,18 +190,15 @@ def isomorphic(S1: IncidenceStructure,
                S2: IncidenceStructure) -> list[int] | None:
     """Point bijection carrying blocks onto blocks, or None.
 
-    After size checks, iterated pairwise point-degree refinement (see
-    _refined_colors) colors both point sets; then the shared backtracking
-    search incidence._map_points maps each point into its color class and
-    each block onto an S2 block of its size. Its order is deterministic,
-    so testing a structure against itself gives the identity. Every block
+    After the point and block counts, color refinement read from the
+    blocks (see _refined_colors; it also rejects differing block sizes)
+    colors both point sets; then the shared backtracking search
+    incidence._map_points maps each point into its color class and each
+    block onto an S2 block of its size. Its order is deterministic, so
+    testing a structure against itself gives the identity. Every block
     image is re-checked before returning.
     """
-    n = S1.num_points
-    nb = len(S1.blocks)
-    if n != S2.num_points or nb != len(S2.blocks):
-        return None
-    if sorted(map(len, S1.blocks)) != sorted(map(len, S2.blocks)):
+    if S1.num_points != S2.num_points or len(S1.blocks) != len(S2.blocks):
         return None
 
     colors = _refined_colors(S1, S2)

@@ -1,7 +1,7 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError
@@ -112,3 +112,61 @@ def linearity_oracle(S) -> tuple[bool, bool]:
     partial = all(c == 1 for c in counts.values())
     n = S.num_points
     return partial, partial and len(counts) == n * (n - 1) // 2
+
+
+def pair_count_refinement(S1, S2):
+    """Joint color refinement keyed by (color, number of common blocks)
+    over the points sharing a block with each point, from a per-point
+    pair-count table: the reference for reconstruct._refined_colors.
+    Returns None when the color multisets diverge, else the stable colors."""
+    n = S1.num_points
+
+    def common_blocks(S):
+        counts = [Counter() for _ in range(n)]
+        for a, b in pair_coverage(S).elements():
+            counts[a][b] += 1
+            counts[b][a] += 1
+        return counts
+
+    def initial(S):
+        return [(len(S.point_blocks[p]),
+                 tuple(sorted(len(S.blocks[i]) for i in S.point_blocks[p])))
+                for p in range(n)]
+
+    cc1, cc2 = common_blocks(S1), common_blocks(S2)
+    key1, key2 = initial(S1), initial(S2)
+    col1 = col2 = None
+    while True:
+        palette = {k: i for i, k in enumerate(sorted(set(key1) | set(key2)))}
+        new1 = [palette[k] for k in key1]
+        new2 = [palette[k] for k in key2]
+        if sorted(new1) != sorted(new2):
+            return None
+        if new1 == col1 and new2 == col2:
+            return col1, col2
+        col1, col2 = new1, new2
+        key1 = [(col1[p], tuple(sorted((col1[x], c) for x, c in cc1[p].items())))
+                for p in range(n)]
+        key2 = [(col2[p], tuple(sorted((col2[x], c) for x, c in cc2[p].items())))
+                for p in range(n)]
+
+
+def joint_partition(colors):
+    """The partition of the points of both structures that a pair of color
+    lists induces, with cells numbered by first appearance (None stays)."""
+    if colors is None:
+        return None
+    first: dict = {}
+    return [first.setdefault(c, len(first)) for c in colors[0] + colors[1]]
+
+
+def brute_force_isomorphic(S1, S2) -> bool:
+    """Whether some point permutation carries the blocks of S1 onto those
+    of S2, by trying every permutation; at most 6 points."""
+    n = S1.num_points
+    assert n <= 6
+    if n != S2.num_points or len(S1.blocks) != len(S2.blocks):
+        return False
+    target = set(S2.blocks)
+    return any(all(tuple(sorted(perm[x] for x in b)) in target for b in S1.blocks)
+               for perm in permutations(range(n)))

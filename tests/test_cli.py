@@ -235,6 +235,36 @@ def test_reconstruct_to_stdout_is_json(tmp_path, capsys, h3_json):
     assert run("reconstruct", str(dimacs)) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["format"] == "incidence-v1" and data["num_points"] == 28
+    # with --verify, stdout stays pure JSON and the verdict goes to stderr
+    assert run("reconstruct", str(dimacs), "--verify", str(h3_json)) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == data
+    assert err == "verified: isomorphic to the target structure\n"
+    pg3 = tmp_path / "pg3.json"
+    run("build", "pg", "--q", "3", "-o", str(pg3))
+    capsys.readouterr()
+    assert run("reconstruct", str(dimacs), "--verify", str(pg3)) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == data
+    assert err.startswith("verification FAILED: ")
+
+
+def test_reconstruct_rejects_regular_12_vertex_non_unital_graph(tmp_path, capsys):
+    # the complement of the 12-cycle is 9-regular on 12 vertices, like the
+    # order-2 unital graph, but not strongly regular
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12)
+             if (j - i) % 12 not in (1, 11)]
+    c12bar = tmp_path / "c12bar.dimacs"
+    c12bar.write_text(f"p edge 12 {len(edges)}\n"
+                      + "".join(f"e {i + 1} {j + 1}\n" for i, j in edges))
+    h2 = tmp_path / "h2.json"
+    run("build", "hermitian", "--q", "2", "-o", str(h2))
+    rebuilt = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("reconstruct", str(c12bar), "-o", str(rebuilt), "--verify", str(h2)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failed: ")
+    assert not rebuilt.exists()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -5,7 +5,13 @@ import json
 import random
 
 import pytest
-from support import block_sets
+from support import (
+    block_sets,
+    brute_force_isomorphic,
+    joint_partition,
+    linearity_oracle,
+    pair_count_refinement,
+)
 
 from unitals.cliques import enumerate_maximal_cliques
 from unitals.confluence import ConfluenceGraph, build_confluence
@@ -21,6 +27,7 @@ from unitals.incidence import (
     validate_unital,
 )
 from unitals.reconstruct import (
+    _refined_colors,
     extend_graph_isomorphism,
     isomorphic,
     reconstruct_unital,
@@ -171,6 +178,87 @@ def test_negative_answer_needs_real_search():
     assert isomorphic(sts, sts) == list(range(13))
 
 
+# --- refinement and verdicts against independent oracles ---
+
+def _seeded_puncture(q, seed):
+    plane = projective_plane(q)
+    return puncture(plane, random.Random(seed).sample(range(plane.num_points), q + 1))
+
+
+def _random_partial_linear_space(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    covered, blocks = set(), []
+    for _ in range(3 * n):
+        block = sorted(rng.sample(range(n), rng.randint(2, min(4, n))))
+        pairs = {(a, b) for i, a in enumerate(block) for b in block[i + 1:]}
+        if not pairs & covered:
+            covered |= pairs
+            blocks.append(block)
+    return IncidenceStructure(n, blocks)
+
+
+def _partial_linear_pairs():
+    """(name, S1, S2) over partial linear spaces: each against a seeded
+    relabelling of itself, and seeded punctures against one another."""
+    singles = {f"h{q}": hermitian_unital(q) for q in (2, 3, 4)}
+    singles.update({f"pg{q}": projective_plane(q) for q in (2, 3, 4, 5)})
+    singles.update({f"ag{q}": affine_plane(q) for q in (3, 4)})
+    singles["path300"] = IncidenceStructure(300, [(i, i + 1) for i in range(299)])
+    singles.update({f"pls-{seed}": _random_partial_linear_space(seed)
+                    for seed in range(40)})
+    out = [(name, S, _seeded_relabelling(S, 7)) for name, S in singles.items()]
+    for q in (3, 4):
+        cuts = [_seeded_puncture(q, seed) for seed in range(6)]
+        out += [(f"pg{q}-cut{a}-cut{b}", cuts[a], cuts[b])
+                for a in range(6) for b in range(a, 6)]
+    return out
+
+
+def test_refinement_matches_pair_count_oracle():
+    # on partial linear spaces every common-block count is 1, so reading
+    # block mates off the blocks must give the pair table's partition
+    verdicts = set()
+    for name, S1, S2 in _partial_linear_pairs():
+        assert linearity_oracle(S1)[0] and linearity_oracle(S2)[0], name
+        expected = joint_partition(pair_count_refinement(S1, S2))
+        assert joint_partition(_refined_colors(S1, S2)) == expected, name
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def _random_structure(rng, n, sizes):
+    blocks: set = set()
+    for size in sizes:
+        for _ in range(50):
+            block = tuple(sorted(rng.sample(range(n), size)))
+            if block not in blocks:
+                blocks.add(block)
+                break
+    return IncidenceStructure(n, blocks)
+
+
+def test_isomorphic_agrees_with_brute_force_on_small_structures():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        sizes = [rng.randint(2, n) for _ in range(rng.randint(0, 7))] if n >= 2 else []
+        S1 = _random_structure(rng, n, sizes)
+        if rng.random() < 0.5:
+            S2 = _seeded_relabelling(S1, rng.randrange(1000))
+        else:
+            S2 = _random_structure(rng, n, [len(b) for b in S1.blocks])
+        expected = brute_force_isomorphic(S1, S2)
+        witness = isomorphic(S1, S2)
+        assert (witness is not None) == expected, (S1.blocks, S2.blocks)
+        if witness is not None:
+            _check_witness(S1, S2, witness)
+        kinds.add((expected, linearity_oracle(S1)[0]))
+    # isomorphic and not, with and without doubly covered pairs
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 # --- reconstruction ---
 
 def test_reconstruct_unital3(h3, cg3):
@@ -218,6 +306,17 @@ def test_reconstruct_rejects_non_unital_graph():
         reconstruct_unital(circulant)
 
 
+def test_reconstruct_q2_needs_the_unital_graph():
+    # 9-regular on 12 vertices, as the order-2 unital graph is, but the
+    # complement of a 12-cycle is not strongly regular
+    c12bar = ConfluenceGraph.from_edges(
+        12, [(i, j) for i in range(12) for j in range(i + 1, 12)
+             if (j - i) % 12 not in (1, 11)])
+    assert all(c12bar.degree(i) == 9 for i in range(12))
+    with pytest.raises(NotAUnitalGraph):
+        reconstruct_unital(c12bar)
+
+
 def test_reconstruct_rejects_wrong_order():
     with pytest.raises(NotAUnitalGraph):
         reconstruct_unital(ConfluenceGraph(50, [0] * 50))
@@ -261,7 +360,12 @@ def test_extend_rejects_non_isomorphism(h3):
                 if g.rows[i] & ~(1 << j) != g.rows[j] & ~(1 << i))
     beta = list(range(63))
     beta[i], beta[j] = j, i
-    with pytest.raises(NotAGraphIsomorphism):
+    # the message names the first block pair, in order, whose adjacency
+    # beta does not preserve
+    first = next((a, b) for a in range(63) for b in range(a + 1, 63)
+                 if g.adjacent(a, b) != g.adjacent(beta[a], beta[b]))
+    with pytest.raises(NotAGraphIsomorphism,
+                       match=rf"^adjacency differs at block pair \({first[0]}, {first[1]}\)$"):
         extend_graph_isomorphism(beta, h3, h3)
 
 
