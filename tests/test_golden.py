@@ -70,6 +70,9 @@ def _cases():
         cases[f"reconstruct-h{q}"] = ("reconstruct", f"{{h{q}-dimacs}}", "-o", "rebuilt.json",
                                       "--verify", f"{{h{q}}}")
     cases["cliques-classify-ag3-minus-class"] = ("cliques", "{ag3-minus-class}", "--classify")
+    cases["cliques-classify-json-ag3-minus-class"] = ("cliques", "{ag3-minus-class}", "--classify",
+                                                      "--json", "report.json")
+    cases["cliques-json-h3"] = ("cliques", "{h3}", "--json", "report.json")
     cases["isomorphic-h2-ag3"] = ("isomorphic", "{h2}", "{ag3}")
     return cases
 
@@ -97,9 +100,11 @@ GOLDEN = {
     "cliques-classify-h2": "cc3da1deb1192aa0608f0daeb6f67c7cf97928eed9c34c72e7e231feaa327a2c",
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",
     "cliques-classify-h4": "9a5cefdba2c446f746b5a758b4f0eb372b4046962549888a8e05ef114e192b42",
+    "cliques-classify-json-ag3-minus-class": "33227b35261de108dc44241448a6056c032dde54e94c8f5db5ba2dc84b987844",
     "cliques-max-h2": "b36296b1689a4053d7958d5b7a5ecd48549448807246c4e06b232c212574b165",
     "cliques-max-h3": "d9a1aae212d7e69ba7e80ad1c57180606ce33bb96695deb6fbfb72a553562e02",
     "cliques-max-h4": "548605d4ce810214c2cd83bede8e479743db92ff94fa69c10a2c9380481beb4f",
+    "cliques-json-h3": "8f62a5a80af7356da96ff73308a32080247469b9a5ca691a2647c970d5db3380",
     "graph-h2": "41bda0d4e54d991dfefbbebfc0698029c81cade535e7675a143438eddea5bcf8",
     "graph-h2-stdout": "64dd1d9fbabbb72d673c101859b14e9718abe4f673a5868e0b150612b11675cd",
     "graph-h3": "6f84f370bc8001b9fccf1ca1e9263fd6ff8e3630d042afd832c4f22925e4baab",
