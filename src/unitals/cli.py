@@ -190,11 +190,12 @@ def cmd_cliques(args) -> int:
         print(f"max_clique_size={cliques_mod.max_clique_size(G)}")
         return 0
     found = cliques_mod.enumerate_maximal_cliques(G)
+    # report order (-size, blocks): found is sorted and the sort is stable
+    found.sort(key=len, reverse=True)
     sizes = Counter(len(c) for c in found)
     print(f"maximal_cliques={len(found)}")
     print("sizes=" + " ".join(f"{s}:{c}" for s, c in sorted(sizes.items())))
     status = 0
-    records = []
     if args.classify:
         tagged = [cliques_mod.classify_clique(S, c) for c in found]
         tags = Counter(t.tag for t in tagged)
@@ -211,17 +212,43 @@ def cmd_cliques(args) -> int:
             else:
                 print(f"verified: every maximal clique is a pencil (size {q * q}) "
                       f"or a near pencil (size {q + 2})")
-        records = [{k: v for k, v in (("blocks", list(t.clique)), ("size", t.size),
-                                      ("tag", t.tag), ("point", t.point), ("line", t.line))
-                    if v is not None} for t in tagged]
-    else:
-        records = [{"blocks": list(c), "size": len(c)} for c in found]
-    if args.json:
-        records.sort(key=lambda r: (-r["size"], r["blocks"]))
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=1)
-            fh.write("\n")
+        if args.json:
+            _write_records(args.json, (_clique_record(t.clique, t.size, t.tag, t.point, t.line)
+                                       for t in tagged))
+    elif args.json:
+        _write_records(args.json, (_clique_record(c, len(c)) for c in found))
     return status
+
+
+def _clique_record(blocks, size: int, tag: str | None = None,
+                   point: int | None = None, line: int | None = None) -> str:
+    """One clique-report record, as json.dump(..., indent=1) writes the dict
+    {"blocks", "size", "tag", "point", "line"} (None values left out) as an
+    item of a top-level list. Tags are fixed ASCII words, so they need no
+    escaping."""
+    text = ' {\n  "blocks": [\n   ' + ",\n   ".join(map(str, blocks)) + f'\n  ],\n  "size": {size}'
+    if tag is not None:
+        text += f',\n  "tag": "{tag}"'
+    if point is not None:
+        text += f',\n  "point": {point}'
+    if line is not None:
+        text += f',\n  "line": {line}'
+    return text + "\n }"
+
+
+def _write_records(path: str, records) -> None:
+    """Write the record strings as a JSON list, byte for byte what
+    json.dump(..., indent=1) writes for the same records, plus a newline."""
+    records = iter(records)
+    with open(path, "w", encoding="utf-8") as fh:
+        first = next(records, None)
+        if first is None:
+            fh.write("[]\n")
+            return
+        fh.write("[\n" + first)
+        for record in records:
+            fh.write(",\n" + record)
+        fh.write("\n]\n")
 
 
 def cmd_onan(args) -> int:

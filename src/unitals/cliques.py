@@ -6,6 +6,17 @@ pivot is the candidate with the most neighbors among the candidates,
 lowest index on ties. Cliques are emitted sorted ascending and the final
 stream is sorted lexicographically.
 
+A node holds the clique R built so far, its candidates P and its
+excluded vertices X; P + X is the common neighbourhood of R. The pivot
+scan also ANDs the closed neighbourhoods of the candidates, which settles
+two kinds of node without branching, both exactly:
+- an excluded vertex in the AND is adjacent to all of P, so it extends
+  every clique R + S with S in P, and nothing below the node is maximal;
+- otherwise, when the AND contains P, P is a clique: every proper subset
+  of P extends inside P, so R + P is the one maximal clique below.
+A child with a single candidate u is settled when it is made, by the
+same rule: R + v + u is maximal unless an excluded vertex sees u.
+
 In the confluence graph of a linear space, a clique is a set of mutually
 intersecting blocks. Each maximal clique is classified as a pencil (all
 blocks through one point, and all of them), a near pencil (a block L
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 
 from .confluence import ConfluenceGraph
 from .errors import MalformedStructure, NotAClique, WrongCliqueSize
-from .incidence import IncidenceStructure, _bits, _common, near_pencil
+from .incidence import IncidenceStructure, _bits, _near_pencil_mask
 
 
 @dataclass(frozen=True)
@@ -46,24 +57,37 @@ def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
     work: list[tuple[tuple[int, ...], int, int]] = [((), (1 << n) - 1, 0)]
     while work:
         clique, P, X = work.pop()
-        # pivot: candidate with most neighbors among candidates
-        best_u, best = -1, -1
+        # pivot: candidate with most neighbors among candidates; closed is
+        # the set of vertices adjacent or equal to every candidate
+        best_u, best, closed = -1, -1, -1
         m = P
         while m:
             low = m & -m
             u = low.bit_length() - 1
             m ^= low
-            c = (rows[u] & P).bit_count()
+            row = rows[u]
+            closed &= row | low
+            c = (row & P).bit_count()
             if c > best:
                 best, best_u = c, u
+        if closed & X:  # an excluded vertex extends every clique below
+            continue
+        if closed & P == P:  # P is a clique: R + P is the only candidate
+            out.append(tuple(sorted(clique + tuple(_bits(P)))))
+            continue
         branch = P & ~rows[best_u]
         while branch:
             low = branch & -branch
             v = low.bit_length() - 1
             branch ^= low
             nv = rows[v]
-            if P & nv:
-                work.append((clique + (v,), P & nv, X & nv))
+            child = P & nv
+            if child & (child - 1):
+                work.append((clique + (v,), child, X & nv))
+            elif child:  # one candidate u: maximal unless the child's X sees u
+                u = child.bit_length() - 1
+                if not X & nv & rows[u]:
+                    out.append(tuple(sorted(clique + (v, u))))
             elif not X & nv:
                 out.append(tuple(sorted(clique + (v,))))
             P ^= low
@@ -104,34 +128,51 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     """
     members = tuple(sorted(set(clique)))
     rows, masks = S.block_rows, S.block_masks
-    mask = sum(1 << i for i in members)
+    # mask: the members; closed: the blocks meeting or equal to every
+    # member; prefix[k]: the points on members[:k] (-1, all of them, at 0)
+    mask, closed, points = 0, -1, -1
+    prefix = [points]
     for i in members:
-        disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
-        if disjoint:
-            j = (disjoint & -disjoint).bit_length() - 1
-            raise NotAClique(f"blocks {i} and {j} are disjoint")
+        bit = 1 << i
+        mask |= bit
+        closed &= rows[i] | bit
+        points &= masks[i]
+        prefix.append(points)
+    if closed & mask != mask:
+        for i in members:
+            disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
+            if disjoint:
+                j = (disjoint & -disjoint).bit_length() - 1
+                raise NotAClique(f"blocks {i} and {j} are disjoint")
     size = len(members)
 
-    common = _common(masks, members) if members else 0
-    pencils = S.pencil_masks
-    for p in _bits(common):
-        if pencils[p] == mask:
-            return CliqueClassification(members, size, "pencil", point=p)
-
-    if size >= 3:
-        for L in members:
-            # candidate apexes: points on every member but L, and not on L
-            apex = ~masks[L]
-            for i in members:
-                if i != L:
-                    apex &= masks[i]
-            for p in _bits(apex):
-                try:
-                    if near_pencil(S, p, L) == members:
-                        return CliqueClassification(
-                            members, size, "near_pencil", point=p, line=L)
-                except MalformedStructure:
-                    continue  # join missing: not a linear space around (p, L)
+    common = points if members else 0
+    if common:
+        pencils = S.pencil_masks
+        for p in _bits(common):
+            if pencils[p] == mask:
+                return CliqueClassification(members, size, "pencil", point=p)
+    elif size >= 3:
+        # A near pencil of 3 or more blocks has no common point c: c would
+        # lie on L, so every join from p would be the one block through p
+        # and c. The candidate apexes of member L are the points on every
+        # other member (a prefix AND times a suffix AND) and not on L.
+        apexes = [0] * size
+        suffix = -1
+        for k in range(size - 1, -1, -1):
+            block = masks[members[k]]
+            apexes[k] = prefix[k] & suffix & ~block
+            suffix &= block
+        for k, apex in enumerate(apexes):
+            if apex:
+                L = members[k]
+                for p in _bits(apex):
+                    try:
+                        if _near_pencil_mask(S, p, L) == mask:
+                            return CliqueClassification(
+                                members, size, "near_pencil", point=p, line=L)
+                    except MalformedStructure:
+                        continue  # join missing: not a linear space around (p, L)
     note = "sub-pencil" if common else None
     return CliqueClassification(members, size, "other", note=note)
 

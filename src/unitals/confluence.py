@@ -222,6 +222,8 @@ def read_dimacs(path) -> ConfluenceGraph:
                     n, m = int(parts[2]), int(parts[3])
                 except ValueError:
                     raise FormatError(f"line {lineno}: non-integer sizes") from None
+                if n < 0 or m < 0:
+                    raise FormatError(f"line {lineno}: negative sizes")
             elif parts[0] == "e":
                 if n is None:
                     raise FormatError(f"line {lineno}: edge before problem line")

@@ -466,18 +466,25 @@ def near_pencil(S: IncidenceStructure, p: int, L: int) -> tuple[int, ...]:
         raise InvalidPointSet(f"point {p} out of range")
     if not 0 <= L < len(S.blocks):
         raise InvalidPointSet(f"block {L} out of range")
-    block = S.blocks[L]
-    if p in block:
+    if p in S.blocks[L]:
         raise IncidentPair(f"point {p} lies on block {L}")
+    return tuple(_bits(_near_pencil_mask(S, p, L)))
+
+
+def _near_pencil_mask(S: IncidenceStructure, p: int, L: int) -> int:
+    """Block mask of the near pencil of (p, L), p off L: bit L and the bit
+    of the unique block joining p to each point of L. Raises
+    MalformedStructure when some join is missing or not unique."""
     pm = S.pencil_masks
-    out = {L}
-    for x in block:
-        join = pm[p] & pm[x]
+    through_p = pm[p]
+    out = 1 << L
+    for x in S.blocks[L]:
+        join = through_p & pm[x]
         if not join or join & (join - 1):
             raise MalformedStructure(
                 f"no unique block joins {p} and {x}; not a linear space")
-        out.add(join.bit_length() - 1)
-    return tuple(sorted(out))
+        out |= join
+    return out
 
 
 def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:

@@ -3,8 +3,10 @@
 from collections import Counter
 from itertools import combinations, permutations
 
+from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
-from unitals.errors import GeometryError
+from unitals.errors import GeometryError, MalformedStructure, NotAClique
+from unitals.incidence import _bits, _common, near_pencil
 
 
 class GraphTooLarge(GeometryError):
@@ -170,3 +172,40 @@ def brute_force_isomorphic(S1, S2) -> bool:
     target = set(S2.blocks)
     return any(all(tuple(sorted(perm[x] for x in b)) in target for b in S1.blocks)
                for perm in permutations(range(n)))
+
+
+def classify_clique_oracle(S, clique) -> CliqueClassification:
+    """Reference for cliques.classify_clique: each member's candidate apexes
+    from an AND over all the other members (O(size^2)), and each near-pencil
+    candidate compared as a block tuple."""
+    members = tuple(sorted(set(clique)))
+    rows, masks = S.block_rows, S.block_masks
+    mask = sum(1 << i for i in members)
+    for i in members:
+        disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
+        if disjoint:
+            j = (disjoint & -disjoint).bit_length() - 1
+            raise NotAClique(f"blocks {i} and {j} are disjoint")
+    size = len(members)
+
+    common = _common(masks, members) if members else 0
+    pencils = S.pencil_masks
+    for p in _bits(common):
+        if pencils[p] == mask:
+            return CliqueClassification(members, size, "pencil", point=p)
+
+    if size >= 3:
+        for L in members:
+            apex = ~masks[L]
+            for i in members:
+                if i != L:
+                    apex &= masks[i]
+            for p in _bits(apex):
+                try:
+                    if near_pencil(S, p, L) == members:
+                        return CliqueClassification(
+                            members, size, "near_pencil", point=p, line=L)
+                except MalformedStructure:
+                    continue
+    note = "sub-pencil" if common else None
+    return CliqueClassification(members, size, "other", note=note)

@@ -121,6 +121,23 @@ def test_cliques_classify_verifies_unital(capsys, h3_json, tmp_path):
     assert sizes == sorted(sizes, reverse=True)
 
 
+@pytest.mark.parametrize("blocks, flags", [
+    ([], ()),
+    ([], ("--classify",)),
+    ([[0, 1], [0, 2], [1, 2], [2, 3]], ()),
+    ([[0, 1], [0, 2], [1, 2], [2, 3]], ("--classify",)),
+])
+def test_cliques_report_is_the_stdlib_encoding(tmp_path, blocks, flags):
+    structure = tmp_path / "s.json"
+    structure.write_text(json.dumps({"format": "incidence-v1", "num_points": 4,
+                                     "blocks": blocks}))
+    report = tmp_path / "report.json"
+    assert run("cliques", str(structure), *flags, "--json", str(report)) == 0
+    raw = report.read_text()
+    assert raw == json.dumps(json.loads(raw), indent=1) + "\n"
+    assert (raw == "[]\n") == (not blocks)
+
+
 def test_cliques_max_only(capsys, h3_json):
     assert run("cliques", str(h3_json), "--max-only") == 0
     assert "max_clique_size=9" in capsys.readouterr().out
@@ -226,6 +243,14 @@ def test_reconstruct_rejects_non_unital_graph(tmp_path):
     bad = tmp_path / "bad.dimacs"
     bad.write_text("p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
     assert run("reconstruct", str(bad)) == 1
+
+
+@pytest.mark.parametrize("header", ["p edge -5 0", "p edge 3 -1"])
+def test_reconstruct_rejects_negative_dimacs_sizes(header, tmp_path, capsys):
+    bad = tmp_path / "bad.dimacs"
+    bad.write_text(header + "\n")
+    assert run("reconstruct", str(bad)) == 2
+    assert capsys.readouterr().err == "error: line 1: negative sizes\n"
 
 
 def test_reconstruct_to_stdout_is_json(tmp_path, capsys, h3_json):

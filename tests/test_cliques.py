@@ -1,9 +1,12 @@
 """Clique enumeration, the naive oracle, classification, star check."""
 
+from itertools import combinations
+
 import pytest
 from support import (
     GraphTooLarge,
     block_sets,
+    classify_clique_oracle,
     naive_maximal_cliques,
     subset_filter_cliques,
     sweep_graph,
@@ -15,9 +18,18 @@ from unitals.cliques import (
     max_clique_size,
     verify_star_property,
 )
-from unitals.confluence import ConfluenceGraph
-from unitals.errors import NotAClique, WrongCliqueSize
-from unitals.incidence import near_pencil, pencil
+from unitals.confluence import ConfluenceGraph, build_confluence
+from unitals.errors import MalformedStructure, NotAClique, WrongCliqueSize
+from unitals.incidence import (
+    IncidenceStructure,
+    affine_plane,
+    conic_points,
+    hermitian_unital,
+    near_pencil,
+    pencil,
+    projective_plane,
+    puncture,
+)
 
 
 def _k3():
@@ -74,6 +86,46 @@ def test_oracles_agree_on_deterministic_sweep():
         assert fast == naive_maximal_cliques(G), f"sweep graph {i}"
         if G.n <= 14:
             assert fast == subset_filter_cliques(G), f"sweep graph {i}"
+
+
+def _cliques_graph(*sizes, extra=(), missing=()):
+    """Disjoint complete graphs of the given sizes on consecutive vertices,
+    plus the extra edges and minus the missing ones."""
+    edges, start = set(extra), 0
+    for size in sizes:
+        edges.update(combinations(range(start, start + size), 2))
+        start += size
+    return ConfluenceGraph.from_edges(start, sorted(edges - set(missing)))
+
+
+SETTLED_NODE_GRAPHS = {
+    # the candidates form a clique at the root
+    **{f"K{n}": _cliques_graph(n) for n in range(1, 8)},
+    **{f"K{n}-minus-edge": _cliques_graph(n, missing=[(0, n - 1)]) for n in range(2, 8)},
+    "K2+K3": _cliques_graph(2, 3),
+    "K3+K3+K1": _cliques_graph(3, 3, 1),
+    "K4+K2+K2": _cliques_graph(4, 2, 2),
+    "3K1": _cliques_graph(1, 1, 1),
+    # two K_m joined by an edge: a node meets a clique of candidates plus an
+    # excluded vertex that sees all of it, and must emit nothing
+    **{f"K{m}-K{m}-bridged": _cliques_graph(m, m, extra=[(m - 1, m)]) for m in range(3, 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETTLED_NODE_GRAPHS))
+def test_settled_nodes_agree_with_oracles(name):
+    G = SETTLED_NODE_GRAPHS[name]
+    fast = enumerate_maximal_cliques(G)
+    assert fast == naive_maximal_cliques(G)
+    assert fast == subset_filter_cliques(G)
+
+
+def test_networkx_agrees_on_unital3(cg3, cliques3):
+    nx = pytest.importorskip("networkx")
+    H = nx.Graph()
+    H.add_nodes_from(range(cg3.n))
+    H.add_edges_from(cg3.edges())
+    assert sorted(tuple(sorted(c)) for c in nx.find_cliques(H)) == cliques3
 
 
 def test_every_emitted_clique_is_maximal(cliques3, cg3):
@@ -159,6 +211,65 @@ def test_classify_all_maximal_cliques_of_unital2(h2, cg2):
         counts[t.tag] += 1
     # 9 pencils and one near pencil per non-incident point/block pair
     assert counts == {"pencil": 9, "near_pencil": 72, "other": 0}
+
+
+def _ag3_minus_class():
+    """AG(2,3) without the parallel class of block 0: some joins are missing."""
+    ag3 = affine_plane(3)
+    first = set(ag3.blocks[0])
+    return IncidenceStructure(9, [b for b in ag3.blocks[1:] if first & set(b)])
+
+
+ORACLE_STRUCTURES = {
+    "h2": lambda: hermitian_unital(2),
+    "h3": lambda: hermitian_unital(3),
+    "h4": lambda: hermitian_unital(4),
+    "ag3": lambda: affine_plane(3),
+    "ag4": lambda: affine_plane(4),
+    "pg4-conic": lambda: puncture(projective_plane(4), conic_points(4)),
+    "ag3-minus-class": _ag3_minus_class,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_STRUCTURES))
+def test_classify_agrees_with_oracle(name):
+    S = ORACLE_STRUCTURES[name]()
+    found = enumerate_maximal_cliques(build_confluence(S))
+    assert found
+    for clique in found:
+        assert classify_clique(S, clique) == classify_clique_oracle(S, clique), clique
+
+
+@pytest.mark.parametrize("num_points, blocks, clique, skipped, found", [
+    # L = block 0 = {0, 1, 2}: blocks 1 and 2 meet at its candidate apex 3,
+    # but no block joins 3 to 2; the next member, block 1, has apex 1
+    (4, [[0, 1, 2], [0, 3], [1, 3]], (0, 1, 2), (3, 0), (1, 1)),
+    # L = block 0 = {0, 1}: apexes 2 and 3; two blocks join 2 to 0, so the
+    # next apex of the same L, 3, is tried
+    (5, [[0, 1], [0, 2, 3], [0, 2, 4], [1, 2, 3]], (0, 1, 3), (2, 0), (3, 0)),
+])
+def test_classify_skips_an_apex_with_a_missing_join(num_points, blocks, clique,
+                                                    skipped, found):
+    S = IncidenceStructure(num_points, blocks)
+    with pytest.raises(MalformedStructure):
+        near_pencil(S, *skipped)
+    result = classify_clique(S, clique)
+    assert (result.tag, result.point, result.line) == ("near_pencil", *found)
+    assert result == classify_clique_oracle(S, clique)
+    for maximal in enumerate_maximal_cliques(build_confluence(S)):
+        assert classify_clique(S, maximal) == classify_clique_oracle(S, maximal)
+
+
+def test_classify_rejects_non_clique_like_the_oracle(h3):
+    sets = block_sets(h3)
+    through_0 = pencil(h3, 0)
+    disjoint = next(i for i, b in enumerate(sets) if not b & sets[through_0[0]])
+    clique = (*through_0[:3], disjoint)
+    with pytest.raises(NotAClique) as fast:
+        classify_clique(h3, clique)
+    with pytest.raises(NotAClique) as slow:
+        classify_clique_oracle(h3, clique)
+    assert str(fast.value) == str(slow.value)
 
 
 # --- star property ---

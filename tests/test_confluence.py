@@ -216,6 +216,14 @@ def test_dimacs_reader_rejects(text, tmp_path):
         read_dimacs(path)
 
 
+@pytest.mark.parametrize("header", ["p edge -5 0", "p edge 3 -1"])
+def test_dimacs_reader_rejects_negative_sizes(header, tmp_path):
+    path = tmp_path / "bad.dimacs"
+    path.write_text(f"c sizes\n{header}\n")
+    with pytest.raises(FormatError, match="^line 2: negative sizes$"):
+        read_dimacs(path)
+
+
 @given(st.integers(1, 12), st.data())
 @settings(max_examples=60, deadline=None)
 def test_dimacs_round_trip_random_graphs(tmp_path_factory, n, data):
