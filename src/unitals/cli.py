@@ -32,7 +32,6 @@ from .errors import (
     GeometryError,
     InternalCheckFailed,
     LemmaViolation,
-    NoEmbeddingFound,
     NotAUnitalGraph,
 )
 
@@ -42,7 +41,6 @@ _VERIFICATION_ERRORS = (
     ConstructionFailed,
     InternalCheckFailed,
     LemmaViolation,
-    NoEmbeddingFound,
     NotAUnitalGraph,
 )
 

@@ -29,14 +29,14 @@ members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .confluence import ConfluenceGraph
 from .errors import MalformedStructure, NotAClique, WrongCliqueSize
 from .incidence import IncidenceStructure, _bits, _near_pencil_mask
 
 
-@dataclass(frozen=True)
-class CliqueClassification:
+class CliqueClassification(NamedTuple):
     clique: tuple[int, ...]
     size: int
     tag: str                  # "pencil" | "near_pencil" | "other"

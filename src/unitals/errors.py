@@ -93,14 +93,6 @@ class ConstructionFailed(GeometryError):
     """The completion construction met a contradiction; bad input."""
 
 
-class NoEmbeddingFound(GeometryError):
-    """Exhaustive search found no plane embedding; input is invalid."""
-
-
-class QTooLargeForSearch(GeometryError):
-    """Embedding search is only feasible for q <= 4."""
-
-
 class NotInScope(GeometryError):
     """The 4-point special classification does not cover this input."""
 

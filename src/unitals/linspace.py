@@ -20,12 +20,21 @@ corrupted input, not a classification):
   * at most one point has a pencil of size <= q, and such a point has
     exactly q lines, exactly one of size q.
 
-Completions produce an explicit EmbeddingWitness (host plane, point
-injection, deleted point set) which an independent verifier re-checks.
-For the "full_pencils" case the embedding is found by the shared
-backtracking point-map search in the coordinatized plane; for q <= 4
-that plane is the unique projective plane of order q, so the search is
-complete.
+Every case constructs its host plane of order q from D, which need not
+be PG(2,q), and returns an EmbeddingWitness (host plane, point injection,
+deleted point set) that an independent verifier re-checks. The
+constructions add one new point per partition of D into disjoint lines
+(_partitions) to the lines in it. In an affine plane these partitions
+are the q+1 parallel classes. In the full-pencils case D has as many
+lines as the host, so every host line meets D, and the pencil of each
+deleted point is a partition. There are no others: the host lines of a
+partition F of k lines meet pairwise at deleted points, and hold
+k(q+1) - q^2 of them counted with multiplicity. Read as sets of lines
+of F, the deleted points on 2 or more of them form a linear space on F.
+If none held all of F, de Bruijn-Erdos (1948) would give at least k of
+the q+1 deleted points, so k <= q+1 and k(q+1) - q^2 >= 2k: no k solves
+both. So F is the pencil of a deleted point, as each host line through
+it meets D.
 """
 
 from __future__ import annotations
@@ -41,13 +50,11 @@ from .errors import (
     InternalCheckFailed,
     LemmaViolation,
     MalformedStructure,
-    NoEmbeddingFound,
     NotAffinePlane,
     NotInScope,
-    QTooLargeForSearch,
     QTooSmall,
 )
-from .incidence import IncidenceStructure, _bits, _common, _map_points, projective_plane, validate
+from .incidence import IncidenceStructure, _common, validate
 
 
 @dataclass
@@ -146,10 +153,10 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     """Three-way classification, optionally with an embedding witness.
 
     Requires q >= 3 (4-point spaces go through q2_special_classify) and
-    the standing assumptions. The returned embedding is re-checked by the
-    independent witness verifier; pass embed=False to skip the embedding
-    (mandatory for full-pencils inputs with q > 4, where the search is
-    out of reach).
+    the standing assumptions. Every case constructs its host plane of
+    order q from D (see the module docstring), for every q, and the
+    returned embedding is re-checked by the independent witness verifier;
+    pass embed=False to skip the embedding.
     """
     if q < 3:
         raise QTooSmall("classification requires q >= 3")
@@ -196,11 +203,49 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     return result
 
 
+def _partitions(D: IncidenceStructure) -> list[tuple[int, ...]]:
+    """Every set of pairwise disjoint lines that covers D, as ascending
+    line indices, ordered by their line through point 0: depth-first, the
+    lowest uncovered point takes each line through it, ascending, among
+    the lines that miss every line taken so far."""
+    every = (1 << D.num_points) - 1
+    rows, masks, pencils = D.block_rows, D.block_masks, D.pencil_masks
+    found: list[tuple[int, ...]] = []
+    # (lines taken, points covered, candidate lines); children are pushed
+    # in reverse so that they are popped ascending
+    stack = [((), 0, (1 << len(D.blocks)) - 1)]
+    while stack:
+        taken, covered, cand = stack.pop()
+        if covered == every:
+            found.append(tuple(sorted(taken)))
+            continue
+        low = ~covered & (covered + 1)
+        through = cand & pencils[low.bit_length() - 1]
+        while through:
+            top = through.bit_length() - 1
+            through ^= 1 << top
+            stack.append((taken + (top,), covered | masks[top], cand & ~rows[top]))
+    return found
+
+
+def _add_points(D: IncidenceStructure, parts, *extra) -> EmbeddingWitness:
+    """The witness whose host adds point n+k to the lines of the k-th
+    partition of D, plus the extra lines; D's points keep their indices."""
+    n = D.num_points
+    host_blocks = [list(block) for block in D.blocks]
+    for k, part in enumerate(parts):
+        for j in part:
+            host_blocks[j].append(n + k)
+    host = IncidenceStructure(n + len(parts), host_blocks + list(extra))
+    return EmbeddingWitness(host=host, point_map=tuple(range(n)),
+                            deleted=tuple(range(n, host.num_points)))
+
+
 def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
     """Projective completion of an affine plane of order q.
 
-    Adds one new point per parallel class and the line at infinity; old
-    points map identically, the deleted set is the new line.
+    Adds one new point per parallel class (its partitions into lines)
+    and the line at infinity; the deleted set is the new line.
     """
     n = D.num_points
     q = isqrt(n)
@@ -211,30 +256,10 @@ def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
     profile = dict(sorted(Counter(map(len, D.blocks)).items()))
     if profile != {q: q * q + q}:
         raise NotAffinePlane(f"line profile {profile} != {{{q}: {q * q + q}}}")
-    masks = D.block_masks
-    nb = len(D.blocks)
-    unassigned = (1 << nb) - 1
-    classes: list[list[int]] = []
-    while unassigned:
-        i = (unassigned & -unassigned).bit_length() - 1
-        cls = (1 << nb) - 1 & ~D.block_rows[i]  # i and the lines missing it
-        covered = 0
-        for j in _bits(cls):
-            if masks[j] & covered or not unassigned >> j & 1:
-                raise NotAffinePlane("parallelism is not an equivalence relation")
-            covered |= masks[j]
-        if cls.bit_count() != q or covered != (1 << n) - 1:
-            raise NotAffinePlane(f"parallel class of line {i} does not partition the points")
-        unassigned &= ~cls
-        classes.append(list(_bits(cls)))
+    classes = _partitions(D)
     if len(classes) != q + 1:
         raise NotAffinePlane(f"{len(classes)} parallel classes, expected {q + 1}")
-    class_of = {j: ci for ci, cls in enumerate(classes) for j in cls}
-    host_blocks = [list(D.blocks[j]) + [n + class_of[j]] for j in range(nb)]
-    host_blocks.append(list(range(n, n + q + 1)))
-    host = IncidenceStructure(n + q + 1, host_blocks)
-    return EmbeddingWitness(host=host, point_map=tuple(range(n)),
-                            deleted=tuple(range(n, n + q + 1)))
+    return _add_points(D, classes, range(n, n + q + 1))
 
 
 def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitness:
@@ -302,50 +327,31 @@ def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitne
 
 
 def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
-    """Backtracking embedding of the full-pencils case into PG(2,q).
+    """Construct the host plane of the full-pencils case.
 
-    The shared search incidence._map_points maps the points of D into
-    the host plane so that every line of D lands on a host line of its
-    own; any host point may take any point and any line any host line.
-    Exhausting the search raises NoEmbeddingFound. On success the tangent
-    property of every deleted point and the no-q-collinear property of
-    the deleted set are verified.
+    D's partitions into lines are the pencils of the q+1 deleted points
+    (see the module docstring); the host adds one new point per partition
+    to its lines. Any other partition count, or a host that is not a
+    projective plane of order q, raises ConstructionFailed. The tangent
+    property of every deleted point is then verified.
     """
-    if q > 4:
-        raise QTooLargeForSearch("embedding search supports q <= 4 only")
     n = D.num_points
-    nb = len(D.blocks)
-    if (n != q * q or nb != q * q + q + 1
+    if (n != q * q or len(D.blocks) != q * q + q + 1
             or any(len(t) != q + 1 for t in D.point_blocks)):
         raise ValueError("input is not in the full-pencils case")
-    host = projective_plane(q)
-    host_lines = host.block_masks
-    every = (1 << host.num_points) - 1  # as many host lines as points
-    point_map = _map_points(D, host, [every] * n, [every] * nb)
-    if point_map is None:
-        raise NoEmbeddingFound(
-            "exhaustive search found no plane embedding; input is invalid")
-    free = every
-    for h in point_map:
-        free ^= 1 << h
-
+    parts = _partitions(D)
+    if len(parts) != q + 1:
+        raise ConstructionFailed(
+            f"{len(parts)} partitions into lines, expected {q + 1}; input is invalid")
+    w = _add_points(D, parts)
+    if (any(len(b) != q + 1 for b in w.host.blocks)
+            or not validate(w.host).is_linear_space):
+        raise ConstructionFailed("the rebuilt host is not a projective plane of order q")
     # tangent: every deleted point lies on the host line of a size-q line of D
-    tangent = 0
-    for block in D.blocks:
-        if len(block) == q:
-            line = _common(host.pencil_masks, (point_map[x] for x in block))
-            tangent |= host_lines[line.bit_length() - 1]
-    missing = free & ~tangent
-    if missing:
-        y = (missing & -missing).bit_length() - 1
-        raise LemmaViolation(f"deleted host point {y} has no tangent line")
-    for row in host_lines:
-        hit = (row & free).bit_count()
-        if hit >= q:
-            raise LemmaViolation(
-                f"{hit} deleted points are collinear; at most {q - 1} allowed")
-    return EmbeddingWitness(host=host, point_map=tuple(point_map),
-                            deleted=tuple(_bits(free)))
+    for k, part in enumerate(parts):
+        if all(len(D.blocks[j]) != q for j in part):
+            raise LemmaViolation(f"deleted host point {n + k} has no tangent line")
+    return w
 
 
 def embedding_errors(D: IncidenceStructure, w: EmbeddingWitness, q: int) -> list[str]:

@@ -23,6 +23,7 @@ consults clique or graph machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .cliques import enumerate_maximal_cliques
 from .confluence import ConfluenceGraph, expected_unital_params, infer_order, srg_check
@@ -36,7 +37,6 @@ from .incidence import (
     IncidenceStructure,
     _bits,
     _common,
-    _map_points,
     affine_plane,
     validate_unital,
 )
@@ -145,6 +145,122 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
     return point_map
 
 
+def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
+                allowed: Sequence[int], hosts: Sequence[int]) -> list[int] | None:
+    """Injective point map of S1 into S2 that sends every block into an S2
+    block of its own, or None if there is none.
+
+    allowed[p] is the mask of S2 points that point p may take; hosts[b]
+    is the start mask of S2 blocks that block b may land on. Each block's
+    hosts are ANDed with the pencils of its assigned images; a block with
+    one host claims it, and no other block may map into a claimed host.
+    A point's candidates are its allowed, unused S2 points on the host of
+    each claimed block through it; a candidate on no host of another
+    touched block is rejected on assignment, as that block's hosts AND
+    to 0. Backtracking is deterministic: most claimed, then most touched
+    point first, lowest index on ties; candidates ascending. The pick
+    scores are kept up to date on assign and undo, never recomputed.
+    """
+    n = S1.num_points
+    pb1, blocks1 = S1.point_blocks, S1.blocks
+    pm2, bm2 = S2.pencil_masks, S2.block_masks
+    sigma: list[int | None] = [None] * n
+    assigned_in = [0] * len(blocks1)  # assigned points per S1 block
+    hosts = list(hosts)
+    used = claimed = 0                   # S2 points taken; S2 blocks claimed
+    # a block weighs 0 untouched, 1 touched and wide claimed, so a point's
+    # score, the sum over the blocks through it, orders like (claimed
+    # blocks, touched blocks) through it; an assigned point's score is
+    # lowered by `assigned`, which puts it below every unassigned one
+    wide = max(map(len, pb1), default=0) + 2
+    assigned = wide * wide
+    score = [0] * n
+
+    def try_assign(p: int, h: int):
+        """Apply sigma[p] = h; return its undo record, or None on conflict."""
+        nonlocal used, claimed
+        gains: list = []  # (points of a block, gain of its weight)
+        record = [(b, hosts[b]) for b in pb1[p]], claimed, gains
+        sigma[p] = h
+        used |= 1 << h
+        for b in pb1[p]:
+            assigned_in[b] += 1
+        for b, old in record[0]:
+            new = hosts[b] = old & pm2[h]
+            first = assigned_in[b] == 1
+            if new & (new - 1):
+                if first:
+                    gains.append((blocks1[b], 1))
+            # claim a host that is now the block's only one
+            elif new != old or first:
+                if not new or new & claimed:  # no host left, or another block's
+                    undo(p, h, record)
+                    return None
+                claimed |= new
+                gains.append((blocks1[b], wide if first else wide - 1))
+        rescore(p, gains, 1)
+        return record
+
+    def rescore(p: int, gains, sign: int) -> None:
+        """Add (sign 1) or take back (sign -1) the score changes of the
+        assignment of p."""
+        score[p] -= sign * assigned
+        for points, gain in gains:
+            gain *= sign
+            for x in points:
+                score[x] += gain
+
+    def undo(p: int, h: int, record) -> None:
+        nonlocal used, claimed
+        saved, claimed, _ = record
+        for b, old in saved:
+            hosts[b] = old
+            assigned_in[b] -= 1
+        sigma[p] = None
+        used ^= 1 << h
+
+    def pick() -> int | None:
+        # the highest-scored unassigned point, lowest index on ties
+        p = max(range(n), key=score.__getitem__, default=None)
+        return None if p is None or score[p] < 0 else p
+
+    def candidates(p: int):
+        mask = allowed[p] & ~used
+        for b in pb1[p]:
+            h = hosts[b]
+            if assigned_in[b] and not h & (h - 1):  # claimed
+                mask &= bm2[h.bit_length() - 1]
+        return _bits(mask)
+
+    # depth-first on an explicit stack (its depth reaches the point count);
+    # a frame is [point, remaining candidates, applied (candidate, undo
+    # record) or None]
+    p = pick()
+    if p is None:
+        return []
+    stack = [[p, candidates(p), None]]
+    while stack:
+        frame = stack[-1]
+        p, remaining, applied = frame
+        if applied is not None:  # the deeper search failed
+            rescore(p, applied[1][2], -1)
+            undo(p, *applied)
+            frame[2] = None
+        for h in remaining:
+            record = try_assign(p, h)
+            if record is not None:
+                frame[2] = (h, record)
+                break
+        else:
+            stack.pop()
+            continue
+        p = pick()
+        if p is None:
+            return sigma  # type: ignore[return-value]
+        stack.append([p, candidates(p), None])
+    return None
+
+
 def _refined_colors(S1: IncidenceStructure,
                     S2: IncidenceStructure) -> tuple[list[int], list[int]] | None:
     """Jointly refine point colors of both structures, from the blocks alone.
@@ -192,9 +308,9 @@ def isomorphic(S1: IncidenceStructure,
 
     After the point and block counts, color refinement read from the
     blocks (see _refined_colors; it also rejects differing block sizes)
-    colors both point sets; then the shared backtracking search
-    incidence._map_points maps each point into its color class and each
-    block onto an S2 block of its size. Its order is deterministic, so
+    colors both point sets; then the backtracking search _map_points
+    maps each point into its color class and each block onto an S2
+    block of its size. Its order is deterministic, so
     testing a structure against itself gives the identity. Every block
     image is re-checked before returning.
     """

@@ -3,10 +3,12 @@
 from collections import Counter
 from itertools import combinations, permutations
 
+from unitals.algebra import field_create
 from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError, MalformedStructure, NotAClique
-from unitals.incidence import _bits, _common, near_pencil
+from unitals.incidence import IncidenceStructure, _bits, _common, near_pencil
+from unitals.linspace import complete_affine
 
 
 class GraphTooLarge(GeometryError):
@@ -209,3 +211,82 @@ def classify_clique_oracle(S, clique) -> CliqueClassification:
                     continue
     note = "sub-pencil" if common else None
     return CliqueClassification(members, size, "other", note=note)
+
+
+def hall_plane() -> IncidenceStructure:
+    """The Hall plane of order 9 (M. Hall 1943), a non-Desarguesian plane.
+
+    AG(2,9) on the points (x, y) = 9x + y is derived over the Baer
+    subline of slopes GF(3) + {inf}: its lines are the 54 lines y = mx + b
+    with m outside GF(3), and the 36 cosets of the four subspaces
+    c * GF(3)^2 (Baer subplanes through the subline). complete_affine then
+    adds the ten points at infinity, 81..90.
+    """
+    F = field_create(3, 2)
+    mul, add = F.mul_idx, F.add_idx
+    gf3 = [t for t in range(9) if mul(mul(t, t), t) == t]
+    lines = {frozenset(9 * x + add(mul(m, x), b) for x in range(9))
+             for m in range(9) if m not in gf3 for b in range(9)}
+    lines |= {frozenset(9 * add(mul(c, a), u) + add(mul(c, b), v) for a in gf3 for b in gf3)
+              for c in range(1, 9) for u in range(9) for v in range(9)}
+    assert len(lines) == 90
+    return complete_affine(IncidenceStructure(81, lines)).host
+
+
+def fano_quadrangle(P):
+    """The first quadrangle (0, b, c, d), b < c < d, of the projective
+    plane P whose three diagonal points are collinear, or None.
+
+    Such a quadrangle spans a Fano subplane; PG(2,q) for odd q has none
+    (its diagonal points are never collinear). The diagonal points are
+    the same for every order of the four points, and in a plane whose
+    collineations are transitive on points every quadrangle is the image
+    of one through point 0. Joins and meets are tabulated from the block
+    tuples alone.
+    """
+    n = P.num_points
+    join = [[-1] * n for _ in range(n)]
+    meet = [[-1] * len(P.blocks) for _ in range(len(P.blocks))]
+    for i, block in enumerate(P.blocks):
+        for x, y in combinations(block, 2):
+            join[x][y] = join[y][x] = i
+    for p in range(n):
+        for i, j in combinations(P.point_blocks[p], 2):
+            meet[i][j] = meet[j][i] = p
+    ja = join[0]
+    for b in range(1, n):
+        ab, jb = ja[b], join[b]
+        for c in range(b + 1, n):
+            ac, bc = ja[c], jb[c]
+            if ac == ab:
+                continue
+            jc = join[c]
+            for d in range(c + 1, n):
+                ad, bd = ja[d], jb[d]
+                if ad == ab or ad == ac or bd == bc:
+                    continue
+                p, r = meet[ab][jc[d]], meet[ad][bc]
+                if join[p][meet[ac][bd]] == join[p][r]:
+                    return 0, b, c, d
+    return None
+
+
+def full_pencils_set(P, q: int, rng) -> list[int]:
+    """A seeded (q+1)-point set of the plane P that no line meets in q or
+    more points, so its puncture is in the full-pencils case."""
+    lines = block_sets(P)
+    while True:
+        points = set(rng.sample(range(P.num_points), q + 1))
+        if all(len(points & line) < q for line in lines):
+            return sorted(points)
+
+
+def deleted_pencils(blocks, deleted, index) -> set:
+    """The pencil of each deleted point, as its lines cut down to the
+    other points and renumbered by index. In the full-pencils case no
+    line lies inside the deleted set, so two planes that puncture to the
+    same space, with the survivors numbered alike, are equal up to the
+    names of the deleted points exactly when these sets are equal."""
+    gone = set(deleted)
+    return {frozenset(frozenset(index[p] for p in b if p not in gone)
+                      for b in blocks if x in b) for x in gone}

@@ -254,7 +254,8 @@ def test_c09_three_case_classification():
 
 def test_c10_lemma_suite_on_1000_instances():
     """Criterion 10: the projective-line and thin-point facts hold on 1000
-    deterministic punctured-plane instances."""
+    deterministic punctured-plane instances, and each embeds with a
+    checked witness."""
     instances = 0
     case_counts = Counter()
     for q, budget in ((3, 715), (4, 285)):  # 715 = all 4-subsets of PG(2,3)
@@ -270,7 +271,8 @@ def test_c10_lemma_suite_on_1000_instances():
             # these raise LemmaViolation on any breach
             projective_lines(D, q)
             thin = thin_points(D, q)
-            result = classify(D, q, embed=False)
+            result = classify(D, q, embed=True)  # re-checks its witness
+            assert embedding_errors(D, result.embedding, q) == [], f"q={q} cut={cut}"
             case_counts[result.case] += 1
             if thin:
                 assert result.case == "thin_point"
@@ -279,7 +281,8 @@ def test_c10_lemma_suite_on_1000_instances():
         instances += taken
     assert instances == 1000
     assert set(case_counts) == {"affine_plane", "thin_point", "full_pencils"}
-    _report("criterion 10", f"1000 instances, zero violations; cases seen: "
+    _report("criterion 10", f"1000 instances, zero violations, every witness "
+            f"checked; cases seen: "
             f"{dict(sorted(case_counts.items()))}")
 
 

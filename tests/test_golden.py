@@ -94,8 +94,8 @@ GOLDEN = {
     "classify-linspace-ag3-swap": "1ff42fd04bcee7b6715d584ac8f6105736ef9c617b9dc1c9594151161e84184d",
     "classify-linspace-ag4-line": "d4fd2ff04bed2022a7db79e794f8f5f3ec3eb3be5dfb66b123256b741ba5c497",
     "classify-linspace-ag4-swap": "3e4617cf66240674400973f42bba7d527a24105d8ff212faf56ecb85651d0e4c",
-    "classify-linspace-pg3-conic": "0d260efcb399576cad482686cfb72e7f0785ee625b2f45217d4511ab52be0cee",
-    "classify-linspace-pg4-conic": "f8136cb199849bc17ca6ccf51d3896bfcf71b688bc776f3dfe841de0ee8cc3a8",
+    "classify-linspace-pg3-conic": "007bd907fd0db676c2685800212560f1ac522117ae1ddfb6754d402e1e0bdc22",
+    "classify-linspace-pg4-conic": "29156aedcefbfa6b776c8d7c5f90e27b725daf99f6aabc8375860bac98db09c2",
     "cliques-classify-ag3-minus-class": "6c24fa34de0b98230760ab17986718cf6ba569ad5d04a85d3b6647d9ee67a47b",
     "cliques-classify-h2": "cc3da1deb1192aa0608f0daeb6f67c7cf97928eed9c34c72e7e231feaa327a2c",
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",

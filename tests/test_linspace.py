@@ -1,15 +1,22 @@
 """Linear-space classification, completions, embeddings, 4-point special case."""
 
+import random
+
 import pytest
-from support import block_sets
+from support import (
+    block_sets,
+    deleted_pencils,
+    fano_quadrangle,
+    full_pencils_set,
+    hall_plane,
+)
 
 from unitals.errors import (
     AssumptionViolation,
+    ConstructionFailed,
     LemmaViolation,
-    NoEmbeddingFound,
     NotAffinePlane,
     NotInScope,
-    QTooLargeForSearch,
     QTooSmall,
 )
 from unitals.incidence import (
@@ -18,9 +25,11 @@ from unitals.incidence import (
     conic_points,
     projective_plane,
     puncture,
+    validate,
 )
 from unitals.linspace import (
     Q2SpecialCase,
+    _partitions,
     check_assumptions,
     classify,
     complete_affine,
@@ -251,7 +260,22 @@ def test_embed_full_pencils_exhausts_on_a_non_linear_space(pg3):
     D = IncidenceStructure(9, [A - {x} | {y}, B - {y} | {x}, *E.blocks[2:]])
     assert (len(D.blocks), {len(t) for t in D.point_blocks}) == (13, {4})
     assert not check_assumptions(D, 3).is_linear_space
-    with pytest.raises(NoEmbeddingFound):
+    with pytest.raises(ConstructionFailed, match="1 partitions into lines, expected 4"):
+        embed_full_pencils(D, 3)
+
+
+def test_embed_full_pencils_rejects_a_host_that_is_not_a_plane(pg3):
+    # swap points 1 and 7 between blocks 0 and 3 of PG(2,3) minus its
+    # conic: the result keeps q+1 = 4 partitions into lines, but the host
+    # they build is not a linear space
+    E = conic_deleted(pg3, 3)
+    A, B = set(E.blocks[0]), set(E.blocks[3])
+    assert 1 in A - B and 7 in B - A
+    rest = [b for i, b in enumerate(E.blocks) if i not in (0, 3)]
+    D = IncidenceStructure(9, [A - {1} | {7}, B - {7} | {1}, *rest])
+    assert (len(D.blocks), {len(t) for t in D.point_blocks}) == (13, {4})
+    assert len(_partitions(D)) == 4
+    with pytest.raises(ConstructionFailed, match="not a projective plane of order q"):
         embed_full_pencils(D, 3)
 
 
@@ -260,9 +284,64 @@ def test_embed_full_pencils_rejects_affine_input(pg3):
         embed_full_pencils(line_deleted(pg3), 3)
 
 
-def test_embed_full_pencils_rejects_large_q():
-    with pytest.raises(QTooLargeForSearch):
-        embed_full_pencils(affine_plane(5), 5)
+def _assert_rebuilds(plane, cut, q):
+    """classify embeds the puncture of plane at cut with a clean witness
+    whose host is plane itself, up to the names of the deleted points."""
+    D = puncture(plane, cut)
+    result = classify(D, q, embed=True)
+    assert result.case == "full_pencils"
+    w = result.embedding
+    assert embedding_errors(D, w, q) == []
+    assert w.point_map == tuple(range(q * q))
+    gone = set(cut)
+    survivors = [p for p in range(plane.num_points) if p not in gone]
+    assert (deleted_pencils(plane.blocks, cut, {p: i for i, p in enumerate(survivors)})
+            == deleted_pencils(w.host.blocks, w.deleted, range(q * q)))
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_classify_embeds_conic_punctures_beyond_q4(q):
+    _assert_rebuilds(projective_plane(q), conic_points(q), q)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_classify_embeds_seeded_full_pencils_sets(q):
+    plane = projective_plane(q)
+    rng = random.Random(f"full-pencils:{q}")
+    for _ in range(40 if q <= 5 else 15):
+        _assert_rebuilds(plane, full_pencils_set(plane, q, rng), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_partitions_of_an_affine_plane_are_its_parallel_classes(q):
+    # reference: each line with the lines disjoint from it, from the block
+    # sets, in the order of their lowest line
+    A = affine_plane(q)
+    lines = block_sets(A)
+    classes = []
+    for i, line in enumerate(lines):
+        if not any(i in cls for cls in classes):
+            classes.append(tuple(j for j, other in enumerate(lines)
+                                 if j == i or not line & other))
+    assert len(classes) == q + 1
+    assert _partitions(A) == classes
+
+
+def test_hall_plane_is_a_non_desarguesian_plane_of_order_9():
+    hall = hall_plane()
+    assert (hall.num_points, len(hall.blocks)) == (91, 91)
+    assert {len(b) for b in hall.blocks} == {10} and validate(hall).is_linear_space
+    # a quadrangle with collinear diagonal points spans a Fano subplane
+    # (H. Neumann 1955); PG(2,9) is point-transitive and has none through 0
+    assert fano_quadrangle(hall) is not None
+    assert fano_quadrangle(projective_plane(9)) is None
+
+
+def test_hall_plane_punctures_embed_in_the_hall_plane():
+    hall = hall_plane()
+    rng = random.Random("hall")
+    for _ in range(20):
+        _assert_rebuilds(hall, full_pencils_set(hall, 9, rng), 9)
 
 
 # --- the independent witness verifier ---
