@@ -22,19 +22,37 @@ corrupted input, not a classification):
 
 Every case constructs its host plane of order q from D, which need not
 be PG(2,q), and returns an EmbeddingWitness (host plane, point injection,
-deleted point set) that an independent verifier re-checks. The
-constructions add one new point per partition of D into disjoint lines
-(_partitions) to the lines in it. In an affine plane these partitions
-are the q+1 parallel classes. In the full-pencils case D has as many
-lines as the host, so every host line meets D, and the pencil of each
-deleted point is a partition. There are no others: the host lines of a
-partition F of k lines meet pairwise at deleted points, and hold
-k(q+1) - q^2 of them counted with multiplicity. Read as sets of lines
-of F, the deleted points on 2 or more of them form a linear space on F.
-If none held all of F, de Bruijn-Erdos (1948) would give at least k of
-the q+1 deleted points, so k <= q+1 and k(q+1) - q^2 >= 2k: no k solves
-both. So F is the pencil of a deleted point, as each host line through
-it meets D.
+deleted point set) that an independent verifier re-checks. All three
+constructions add one new point per partition of D, or of part of D,
+into disjoint lines (_partitions) to the lines in it; D's points keep
+their indices. In an affine plane these partitions are the q+1 parallel
+classes. In the full-pencils case D has as many lines as the host, so
+every host line meets D, and the pencil of each deleted point is a
+partition. There are no others: the host lines of a partition F of k
+lines meet pairwise at deleted points, and hold k(q+1) - q^2 of them
+counted with multiplicity. Read as sets of lines of F, the deleted
+points on 2 or more of them form a linear space on F. If none held all
+of F, de Bruijn-Erdos (1948) would give at least k of the q+1 deleted
+points, so k <= q+1 and k(q+1) - q^2 >= 2k: no k solves both. So F is
+the pencil of a deleted point, as each host line through it meets D.
+
+In the thin-point case let S be the size-q line through u, W the host
+line through u that D lacks, and v the deleted point on S's host line;
+the deleted set is (W - u) + v.
+  (a) A line of D that misses S has a host line meeting S's host line
+      at a deleted point, and v is the only one there. So the lines
+      missing S are the q lines through v other than S, of q-1 points
+      each, and they partition D - S in exactly one way.
+  (b) A line of D not through u has a host line meeting W at one point
+      x != u. Let F be pairwise disjoint lines, none through u, that
+      cover D - u. If a line of F passes through x but not v, a line of
+      F through another point x' of W would meet it at a point that is
+      neither deleted nor u; so F is the pencil of x without W.
+      Otherwise every line of F passes through v, and at most q lines
+      of q-1 points cannot cover the q^2-1 points. So D - u has exactly
+      q such partitions, the pencils of the points of W - u.
+The host adds v to S and the partition of (a), one point to each
+partition of (b), and the line W.
 """
 
 from __future__ import annotations
@@ -49,7 +67,6 @@ from .errors import (
     ConstructionFailed,
     InternalCheckFailed,
     LemmaViolation,
-    MalformedStructure,
     NotAffinePlane,
     NotInScope,
     QTooSmall,
@@ -74,7 +91,9 @@ class EmbeddingWitness:
     """Explicit embedding of a linear space into a projective plane.
 
     point_map[i] is the host point carrying point i; deleted lists the
-    q+1 host points outside the image.
+    q+1 host points outside the image. Every construction here keeps D's
+    points at their indices, so its point map is the identity, and names
+    the deleted points q^2..q^2+q; the verifier checks any map.
     """
     host: IncidenceStructure
     point_map: tuple[int, ...]
@@ -203,17 +222,19 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     return result
 
 
-def _partitions(D: IncidenceStructure) -> list[tuple[int, ...]]:
-    """Every set of pairwise disjoint lines that covers D, as ascending
-    line indices, ordered by their line through point 0: depth-first, the
-    lowest uncovered point takes each line through it, ascending, among
-    the lines that miss every line taken so far."""
+def _partitions(D: IncidenceStructure, covered: int = 0,
+                lines: int = -1) -> list[tuple[int, ...]]:
+    """Every set of pairwise disjoint lines, taken from the mask lines,
+    that covers the points of D outside the mask covered, as ascending
+    line indices: depth-first, the lowest uncovered point takes each
+    line through it, ascending, among the lines that miss every line
+    taken so far. Lines that meet covered must be left out of lines."""
     every = (1 << D.num_points) - 1
     rows, masks, pencils = D.block_rows, D.block_masks, D.pencil_masks
     found: list[tuple[int, ...]] = []
     # (lines taken, points covered, candidate lines); children are pushed
     # in reverse so that they are popped ascending
-    stack = [((), 0, (1 << len(D.blocks)) - 1)]
+    stack = [((), covered, lines)]
     while stack:
         taken, covered, cand = stack.pop()
         if covered == every:
@@ -228,15 +249,20 @@ def _partitions(D: IncidenceStructure) -> list[tuple[int, ...]]:
     return found
 
 
-def _add_points(D: IncidenceStructure, parts, *extra) -> EmbeddingWitness:
+def _add_points(D: IncidenceStructure, q: int, parts, *extra) -> EmbeddingWitness:
     """The witness whose host adds point n+k to the lines of the k-th
-    partition of D, plus the extra lines; D's points keep their indices."""
+    partition of D, plus the extra lines; D's points keep their indices.
+    A host that is not a projective plane of order q raises
+    ConstructionFailed."""
     n = D.num_points
     host_blocks = [list(block) for block in D.blocks]
     for k, part in enumerate(parts):
         for j in part:
             host_blocks[j].append(n + k)
     host = IncidenceStructure(n + len(parts), host_blocks + list(extra))
+    if (host.num_points != q * q + q + 1 or any(len(b) != q + 1 for b in host.blocks)
+            or not validate(host).is_linear_space):
+        raise ConstructionFailed("the rebuilt host is not a projective plane of order q")
     return EmbeddingWitness(host=host, point_map=tuple(range(n)),
                             deleted=tuple(range(n, host.num_points)))
 
@@ -259,19 +285,19 @@ def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
     classes = _partitions(D)
     if len(classes) != q + 1:
         raise NotAffinePlane(f"{len(classes)} parallel classes, expected {q + 1}")
-    return _add_points(D, classes, range(n, n + q + 1))
+    return _add_points(D, q, classes, range(n, n + q + 1))
 
 
 def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitness:
-    """Embed the thin-point case by rebuilding the missing plane point.
+    """Construct the host plane of the thin-point case.
 
-    Construction: S is the unique size-q line through u. Every point p
-    off S lies on exactly one line A_p disjoint from S. Replacing u by a
-    new point incident with S and all the A_p turns D into an affine
-    plane of order q (the new point reuses u's index slot); its
-    projective completion hosts D, mapping u to the infinite point of
-    S's parallel class. Deleted: the new point plus the other q infinite
-    points.
+    S is the size-q line through u. The lines missing S partition the
+    points off S in one way, and the lines not through u partition the
+    points other than u in q ways (see the module docstring). The host
+    adds point q^2 to S and the first partition, points q^2+1..q^2+q to
+    the q others, and the line through u and those q points. Other
+    counts, or a host that is not a projective plane of order q, raise
+    ConstructionFailed. The point map is the identity.
     """
     if q < 3:
         raise QTooSmall("thin-point completion requires q >= 3")
@@ -279,51 +305,16 @@ def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitne
     if thin != [u]:
         raise ValueError(f"point {u} is not the thin point of this space")
     s_line = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
-    s_mask = D.block_masks[s_line]
-    v_lines = 1 << s_line
-    for p in range(D.num_points):
-        if s_mask >> p & 1:
-            continue
-        cand = D.pencil_masks[p] & ~D.block_rows[s_line]
-        if cand.bit_count() != 1:
-            raise ConstructionFailed(
-                f"point {p} lies on {cand.bit_count()} lines missing the short line; "
-                "expected exactly one")
-        v_lines |= cand
-
-    # line-size profile forced by the construction
-    through_u = D.pencil_masks[u]
-    for i, block in enumerate(D.blocks):
-        size = len(block)
-        if through_u >> i & 1:
-            continue  # sizes through u were verified by thin_points
-        expected = q - 1 if v_lines >> i & 1 else q
-        if size != expected:
-            raise ConstructionFailed(
-                f"line {i} has {size} points, expected {expected}")
-
-    # u's slot now carries the new point, which lies on the lines of v_lines
-    new_rows = [[x for x in block if x != u] + [u] * (v_lines >> i & 1)
-                for i, block in enumerate(D.blocks)]
-    try:
-        affine = IncidenceStructure(D.num_points, new_rows)
-        w = complete_affine(affine)
-    except (NotAffinePlane, MalformedStructure) as exc:
-        raise ConstructionFailed(f"rebuilt space is not an affine plane: {exc}") from exc
-
-    host = w.host
+    off_s = _partitions(D, D.block_masks[s_line], ~D.block_rows[s_line])
+    if len(off_s) != 1:
+        raise ConstructionFailed(
+            f"{len(off_s)} partitions of the points off the short line, expected 1")
+    off_u = _partitions(D, 1 << u, ~D.pencil_masks[u])
+    if len(off_u) != q:
+        raise ConstructionFailed(
+            f"{len(off_u)} partitions of the points other than {u}, expected {q}")
     n = D.num_points
-    # the A-row of S is S's own point set, (D_S - u) + new point at slot u;
-    # the host line through all of it carries S's infinite point
-    ext = _common(host.pencil_masks, D.blocks[s_line])
-    infty_s = host.blocks[ext.bit_length() - 1][-1] if ext else -1
-    if infty_s < n:
-        raise ConstructionFailed("no host line extends the short line")
-    point_map = list(range(n))
-    point_map[u] = infty_s
-    deleted = sorted(({u} | set(range(n, host.num_points))) - {infty_s})
-    return EmbeddingWitness(host=host, point_map=tuple(point_map),
-                            deleted=tuple(deleted))
+    return _add_points(D, q, [off_s[0] + (s_line,), *off_u], [u, *range(n + 1, n + q + 1)])
 
 
 def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
@@ -343,10 +334,7 @@ def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
     if len(parts) != q + 1:
         raise ConstructionFailed(
             f"{len(parts)} partitions into lines, expected {q + 1}; input is invalid")
-    w = _add_points(D, parts)
-    if (any(len(b) != q + 1 for b in w.host.blocks)
-            or not validate(w.host).is_linear_space):
-        raise ConstructionFailed("the rebuilt host is not a projective plane of order q")
+    w = _add_points(D, q, parts)
     # tangent: every deleted point lies on the host line of a size-q line of D
     for k, part in enumerate(parts):
         if all(len(D.blocks[j]) != q for j in part):

@@ -281,12 +281,25 @@ def full_pencils_set(P, q: int, rng) -> list[int]:
             return sorted(points)
 
 
+def thin_point_set(P, rng) -> tuple[list[int], int]:
+    """A seeded (q+1)-point set of the plane P, and its point u: a line W
+    without u, plus a point off W. Its puncture is in the thin-point case
+    with thin point u. The extra point is drawn off W, not merely off
+    W - u, which could draw u back and delete the full line W."""
+    W = rng.choice(P.blocks)
+    u = rng.choice(W)
+    v = rng.choice([p for p in range(P.num_points) if p not in W])
+    return sorted(set(W) - {u} | {v}), u
+
+
 def deleted_pencils(blocks, deleted, index) -> set:
     """The pencil of each deleted point, as its lines cut down to the
-    other points and renumbered by index. In the full-pencils case no
-    line lies inside the deleted set, so two planes that puncture to the
-    same space, with the survivors numbered alike, are equal up to the
-    names of the deleted points exactly when these sets are equal."""
+    other points and renumbered by index. In the full-pencils and
+    thin-point cases no line lies inside the deleted set, and no two
+    lines have the same trace on the other points, so two planes that
+    puncture to the same space, with the survivors numbered alike, are
+    equal up to the names of the deleted points exactly when these sets
+    are equal."""
     gone = set(deleted)
     return {frozenset(frozenset(index[p] for p in b if p not in gone)
                       for b in blocks if x in b) for x in gone}

@@ -91,9 +91,9 @@ GOLDEN = {
     "build-pg-3": "5e200659a4c7ee96aae5568dc3176b95cdc31313db87bde756f8543340342c53",
     "build-pg-4": "3a34489be3a3338f265c3d37a44e4437ec2d4df766d540486b51fd75c699dd68",
     "classify-linspace-ag3-line": "884b70ae93af5823f98ee084a5f563a3242d67a8aa0e3dc30d731c01cc680c8f",
-    "classify-linspace-ag3-swap": "1ff42fd04bcee7b6715d584ac8f6105736ef9c617b9dc1c9594151161e84184d",
+    "classify-linspace-ag3-swap": "dd170ab29f93099fc63182a32f40b3ab5e50a553c09d1cf0279ddaa761bd2a7e",
     "classify-linspace-ag4-line": "d4fd2ff04bed2022a7db79e794f8f5f3ec3eb3be5dfb66b123256b741ba5c497",
-    "classify-linspace-ag4-swap": "3e4617cf66240674400973f42bba7d527a24105d8ff212faf56ecb85651d0e4c",
+    "classify-linspace-ag4-swap": "191bf0b324b1b9ef18c05be11ff5de10419ff3aecba23f5967332acae82e99dc",
     "classify-linspace-pg3-conic": "007bd907fd0db676c2685800212560f1ac522117ae1ddfb6754d402e1e0bdc22",
     "classify-linspace-pg4-conic": "29156aedcefbfa6b776c8d7c5f90e27b725daf99f6aabc8375860bac98db09c2",
     "cliques-classify-ag3-minus-class": "6c24fa34de0b98230760ab17986718cf6ba569ad5d04a85d3b6647d9ee67a47b",

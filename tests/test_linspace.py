@@ -1,6 +1,7 @@
 """Linear-space classification, completions, embeddings, 4-point special case."""
 
 import random
+from itertools import combinations
 
 import pytest
 from support import (
@@ -9,6 +10,7 @@ from support import (
     fano_quadrangle,
     full_pencils_set,
     hall_plane,
+    thin_point_set,
 )
 
 from unitals.errors import (
@@ -186,15 +188,16 @@ def _host_line_of(D, w, line_index):
 
 
 def test_thin_point_line_size_profile(pg3):
-    """Sizes forced by the rebuild: the short line has q points, other
-    lines through u have q+1, other lines through the rebuilt point have
-    q-1, and everything else has q."""
+    """Sizes forced by the host: the short line has q points, other
+    lines through u have q+1, other lines through the deleted point v on
+    the short line's host line have q-1, and everything else has q."""
     D = line_swapped(pg3)
     q = 3
     u = thin_points(D, q)[0]
     w = complete_thin_point(D, q, u)
     host_u = w.point_map[u]
-    v = next(d for d in w.deleted if d < D.num_points)  # the rebuilt point's slot
+    short = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
+    (v,) = block_sets(w.host)[_host_line_of(D, w, short)] & set(w.deleted)
     through_u, through_v, elsewhere = [], [], []
     for i, block in enumerate(D.blocks):
         hline = block_sets(w.host)[_host_line_of(D, w, i)]
@@ -214,6 +217,49 @@ def test_thin_point_line_size_profile(pg3):
 def test_complete_thin_point_needs_a_thin_point(pg3):
     with pytest.raises(ValueError):
         complete_thin_point(affine_plane(3), 3, 0)
+
+
+def test_complete_thin_point_rejects_one_point_swaps(pg3):
+    # every swap of one point between two lines of the line-swapped
+    # PG(2,3) puncture that keeps u as the thin point: none embeds, and
+    # each fails a partition count or the host check
+    E = line_swapped(pg3)
+    u = thin_points(E, 3)[0]
+    lines = block_sets(E)
+    reasons = set()
+    swaps = 0
+    for a, b in combinations(range(len(lines)), 2):
+        A, B = lines[a], lines[b]
+        rest = [line for i, line in enumerate(lines) if i not in (a, b)]
+        for x in A - B:
+            for y in B - A:
+                D = IncidenceStructure(9, [A - {x} | {y}, B - {y} | {x}, *rest])
+                try:
+                    if thin_points(D, 3) != [u]:
+                        continue
+                except LemmaViolation:
+                    continue
+                swaps += 1
+                with pytest.raises(ConstructionFailed) as info:
+                    complete_thin_point(D, 3, u)
+                reasons.add(str(info.value).split(", expected")[0].split(" ", 1)[1])
+    assert swaps == 264
+    assert reasons == {"partitions of the points off the short line",
+                       "partitions of the points other than 0",
+                       "rebuilt host is not a projective plane of order q"}
+
+
+def test_complete_thin_point_rejects_two_partitions_off_the_short_line():
+    # two point swaps away from the line-swapped PG(2,3) puncture: u = 0
+    # keeps its pencil shape, but the lines missing S = {0, 3, 6} cover
+    # the other points in two ways, so no deleted point v can exist
+    D = IncidenceStructure(9, [[0, 3, 4, 5], [0, 3, 6], [0, 6, 7, 8], [1, 2], [1, 3, 8],
+                               [1, 4, 7], [1, 5, 6], [2, 3, 7], [2, 4, 6], [2, 5, 8],
+                               [4, 8], [5, 7]])
+    assert thin_points(D, 3) == [0]
+    with pytest.raises(ConstructionFailed,
+                       match="2 partitions of the points off the short line, expected 1"):
+        complete_thin_point(D, 3, 0)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -284,19 +330,21 @@ def test_embed_full_pencils_rejects_affine_input(pg3):
         embed_full_pencils(line_deleted(pg3), 3)
 
 
-def _assert_rebuilds(plane, cut, q):
+def _assert_rebuilds(plane, cut, q, case="full_pencils"):
     """classify embeds the puncture of plane at cut with a clean witness
     whose host is plane itself, up to the names of the deleted points."""
     D = puncture(plane, cut)
     result = classify(D, q, embed=True)
-    assert result.case == "full_pencils"
+    assert result.case == case
     w = result.embedding
     assert embedding_errors(D, w, q) == []
     assert w.point_map == tuple(range(q * q))
+    assert w.deleted == tuple(range(q * q, q * q + q + 1))
     gone = set(cut)
     survivors = [p for p in range(plane.num_points) if p not in gone]
     assert (deleted_pencils(plane.blocks, cut, {p: i for i, p in enumerate(survivors)})
             == deleted_pencils(w.host.blocks, w.deleted, range(q * q)))
+    return result
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9])
@@ -337,11 +385,23 @@ def test_hall_plane_is_a_non_desarguesian_plane_of_order_9():
     assert fano_quadrangle(projective_plane(9)) is None
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_classify_embeds_seeded_thin_point_sets(q):
+    plane = projective_plane(q)
+    rng = random.Random(f"thin-point:{q}")
+    for _ in range(40 if q <= 5 else 15):
+        cut, u = thin_point_set(plane, rng)
+        result = _assert_rebuilds(plane, cut, q, "thin_point")
+        assert result.thin_point == u - sum(p < u for p in cut)
+
+
 def test_hall_plane_punctures_embed_in_the_hall_plane():
     hall = hall_plane()
     rng = random.Random("hall")
     for _ in range(20):
         _assert_rebuilds(hall, full_pencils_set(hall, 9, rng), 9)
+    for _ in range(20):
+        _assert_rebuilds(hall, thin_point_set(hall, rng)[0], 9, "thin_point")
 
 
 # --- the independent witness verifier ---
