@@ -3,7 +3,7 @@
 Library layout:
 
   algebra      exact GF(p^e) arithmetic and conjugation on GF(q^2)
-  incidence    incidence structures, classical constructions, searches
+  incidence    incidence structures, classical constructions, O'Nan search
   confluence   block-intersection graphs, strong regularity, ratio bound
   cliques      maximal-clique enumeration and pencil/near-pencil tags
   linspace     q^2-point linear space classification and embeddings
@@ -17,7 +17,6 @@ from .cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
-    verify_star_property,
 )
 from .confluence import (
     ConfluenceGraph,
@@ -35,11 +34,8 @@ from .incidence import (
     OnanConfiguration,
     affine_plane,
     conic_points,
-    dual,
     find_onan,
     hermitian_unital,
-    near_pencil,
-    pencil,
     projective_plane,
     puncture,
     read_json,
@@ -49,7 +45,6 @@ from .incidence import (
 from .linspace import (
     EmbeddingWitness,
     LinSpaceClass,
-    Q2SpecialCase,
     check_assumptions,
     classify,
     complete_affine,
@@ -57,7 +52,6 @@ from .linspace import (
     embed_full_pencils,
     embedding_errors,
     projective_lines,
-    q2_special_classify,
     thin_points,
 )
 from .reconstruct import (

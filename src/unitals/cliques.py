@@ -21,18 +21,14 @@ In the confluence graph of a linear space, a clique is a set of mutually
 intersecting blocks. Each maximal clique is classified as a pencil (all
 blocks through one point, and all of them), a near pencil (a block L
 plus every join from a point p off L to the points of L), or neither.
-The star check verifies the tightness condition of the ratio bound: if a
-clique attains size q^2, every block outside it meets exactly q+1 of its
-members.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .confluence import ConfluenceGraph
-from .errors import MalformedStructure, NotAClique, WrongCliqueSize
+from .errors import MalformedStructure, NotAClique
 from .incidence import IncidenceStructure, _bits, _near_pencil_mask
 
 
@@ -42,7 +38,6 @@ class CliqueClassification(NamedTuple):
     tag: str                  # "pencil" | "near_pencil" | "other"
     point: int | None = None  # pencil: the common point; near pencil: the apex
     line: int | None = None   # near pencil: the base block L
-    note: str | None = None   # e.g. "sub-pencil" for proper pencil subsets
 
 
 def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
@@ -121,10 +116,10 @@ def max_clique_size(G: ConfluenceGraph) -> int:
 def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     """Tag a set of mutually intersecting blocks of S.
 
-    Pencil requires equality with the full pencil of the common point; a
-    proper subset with a common point is tagged "other" with a
-    "sub-pencil" note. Near pencil requires exact equality with the
-    near-pencil block set of some non-incident (point, block) pair.
+    Pencil requires equality with the full pencil of the common point, so
+    a proper subset of a pencil is tagged "other". Near pencil requires
+    exact equality with the near-pencil block set of some non-incident
+    (point, block) pair.
     """
     members = tuple(sorted(set(clique)))
     rows, masks = S.block_rows, S.block_masks
@@ -173,37 +168,4 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
                                 members, size, "near_pencil", point=p, line=L)
                     except MalformedStructure:
                         continue  # join missing: not a linear space around (p, L)
-    note = "sub-pencil" if common else None
-    return CliqueClassification(members, size, "other", note=note)
-
-
-@dataclass
-class StarPropertyReport:
-    passed: bool
-    expected: int                       # the required meet count, q+1
-    outside_blocks: int
-    failures: list[tuple[int, int]]     # (block index, meet count) violations
-
-
-def verify_star_property(S: IncidenceStructure, clique, q: int) -> StarPropertyReport:
-    """Check that every block outside the clique meets exactly q+1 members.
-
-    The clique must have the extremal size q^2.
-    """
-    members = tuple(sorted(set(clique)))
-    if len(members) != q * q:
-        raise WrongCliqueSize(f"clique has {len(members)} blocks, expected {q * q}")
-    rows = S.block_rows
-    inside = sum(1 << i for i in members)
-    failures = []
-    outside = 0
-    for b in range(len(S.blocks)):
-        if inside >> b & 1:
-            continue
-        outside += 1
-        met = (rows[b] & inside).bit_count()
-        if met != q + 1:
-            failures.append((b, met))
-    return StarPropertyReport(
-        passed=not failures, expected=q + 1,
-        outside_blocks=outside, failures=failures)
+    return CliqueClassification(members, size, "other")

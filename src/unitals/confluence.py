@@ -201,7 +201,8 @@ def format_dimacs(G: ConfluenceGraph, comments: tuple[str, ...] = ()) -> str:
 
 
 def read_dimacs(path) -> ConfluenceGraph:
-    """Strict reader: edges must be 1-based i < j, each line strictly after
+    """Strict reader: comment lines (first token exactly "c") only before
+    the problem line; edges must be 1-based i < j, each line strictly after
     the previous one in lexicographic order (so no duplicates)."""
     n = None
     m = None
@@ -209,10 +210,13 @@ def read_dimacs(path) -> ConfluenceGraph:
     last = (0, 0)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("c"):
-                continue
             parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "c":
+                if n is not None:
+                    raise FormatError(f"line {lineno}: comment after the problem line")
+                continue
             if parts[0] == "p":
                 if n is not None:
                     raise FormatError(f"line {lineno}: repeated problem line")

@@ -49,14 +49,6 @@ class InvalidPointSet(GeometryError):
     """A point set argument is not a subset of the structure's points."""
 
 
-class DegeneratePoint(GeometryError):
-    """A point lies on fewer than 2 blocks where >= 2 are required."""
-
-
-class IncidentPair(GeometryError):
-    """The (point, block) pair must be non-incident."""
-
-
 # --- graphs ---
 
 class NonNegativeSmallestEigenvalue(GeometryError):
@@ -65,10 +57,6 @@ class NonNegativeSmallestEigenvalue(GeometryError):
 
 class NotAClique(GeometryError):
     """The given block set contains a disjoint pair."""
-
-
-class WrongCliqueSize(GeometryError):
-    """The clique does not have the size required by the check."""
 
 
 # --- linear space classification ---
@@ -91,10 +79,6 @@ class NotAffinePlane(GeometryError):
 
 class ConstructionFailed(GeometryError):
     """The completion construction met a contradiction; bad input."""
-
-
-class NotInScope(GeometryError):
-    """The 4-point special classification does not cover this input."""
 
 
 # --- reconstruction ---

@@ -8,8 +8,10 @@ construction.
 
 Provided constructions: the classical projective plane PG(2,q) over
 GF(q), the affine plane AG(2,q), point-set deletions ("punctures"),
-the Hermitian unital of order q (absolute points of a unitary polarity
-of PG(2,q^2) with its secant-line sections), and duals.
+and the Hermitian unital of order q (absolute points of a unitary
+polarity of PG(2,q^2) with its secant-line sections). The plane and
+unital constructions check their size caps before they factor q, which
+takes O(sqrt(q)) steps, so a huge q is refused at once.
 
 Three bitset tables, cached on each structure, are the one source of
 block adjacency, meets, joins and pair coverage for the whole library:
@@ -20,9 +22,11 @@ two points are joined by the single block of their pencil masks' AND.
 These masks are the library's one set type for blocks and pencils: every
 membership, containment, meet and join question is answered with them.
 
-Configuration searches: pencils, near pencils, and the 4-line/6-point
-configuration in which every configuration line carries exactly 3 of the
-points and every point lies on exactly 2 of the lines.
+Near pencils: the mask of a block L plus every join from a point p off
+L to the points of L (_near_pencil_mask, which classify_clique compares
+against). Configuration search: the 4-line/6-point configuration in
+which every configuration line carries exactly 3 of the points and every
+point lies on exactly 2 of the lines.
 
 Serialization: the ``incidence-v1`` JSON format (see read_json, and
 format_json, the one writer, whose text the CLI emits).
@@ -37,9 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import FieldSpec, field_create, prime_power, quadratic_extension
 from .errors import (
-    DegeneratePoint,
     FormatError,
-    IncidentPair,
     InternalCheckFailed,
     InvalidPointSet,
     MalformedStructure,
@@ -250,11 +252,11 @@ def projective_plane(q: int) -> IncidenceStructure:
     Point labels are "(x:y:z)" with coordinates shown as the integer
     encodings of GF(q) elements.
     """
+    if q > 25:
+        raise ValueError("projective_plane supports q <= 25")
     pe = prime_power(q)
     if pe is None:
         raise NotPrimePower(f"{q} is not a prime power")
-    if q > 25:
-        raise ValueError("projective_plane supports q <= 25")
     field = field_create(*pe)
     points, rows = _pg_data(field)
     return IncidenceStructure(len(points), rows, labels=[_label(t) for t in points])
@@ -301,10 +303,13 @@ def hermitian_unital(q: int) -> IncidenceStructure:
     size q+1 (the secants). The construction self-checks its design
     parameters and raises InternalCheckFailed on any mismatch.
     """
+    cap = "hermitian_unital supports q <= 5"
+    if q > 25:  # refused unfactored; up to the plane cap, a non-prime-power is named
+        raise ValueError(cap)
     if prime_power(q) is None:
         raise NotPrimePower(f"{q} is not a prime power")
     if q > 5:
-        raise ValueError("hermitian_unital supports q <= 5")
+        raise ValueError(cap)
     field = quadratic_extension(q)
     points, rows = _pg_data(field)
     norm = [field.pow_idx(t, q + 1) for t in range(field.order)]
@@ -324,36 +329,7 @@ def hermitian_unital(q: int) -> IncidenceStructure:
     return unital
 
 
-def dual(S: IncidenceStructure) -> IncidenceStructure:
-    """Swap points and blocks: dual block i = blocks through point i."""
-    for p, through in enumerate(S.point_blocks):
-        if len(through) < 2:
-            raise DegeneratePoint(f"point {p} lies on {len(through)} block(s)")
-    return IncidenceStructure(len(S.blocks), list(S.point_blocks))
-
-
-# --- pencils, near pencils, configuration search ---
-
-def pencil(S: IncidenceStructure, p: int) -> tuple[int, ...]:
-    """All blocks through p (sorted block indices)."""
-    if not 0 <= p < S.num_points:
-        raise InvalidPointSet(f"point {p} out of range")
-    return S.point_blocks[p]
-
-def near_pencil(S: IncidenceStructure, p: int, L: int) -> tuple[int, ...]:
-    """Block L plus all blocks joining p to points of L, for p not on L.
-
-    Requires S to be a linear space so that each join exists and is
-    unique. In a unital of order q the result has q+2 blocks.
-    """
-    if not 0 <= p < S.num_points:
-        raise InvalidPointSet(f"point {p} out of range")
-    if not 0 <= L < len(S.blocks):
-        raise InvalidPointSet(f"block {L} out of range")
-    if p in S.blocks[L]:
-        raise IncidentPair(f"point {p} lies on block {L}")
-    return tuple(_bits(_near_pencil_mask(S, p, L)))
-
+# --- near pencils, configuration search ---
 
 def _near_pencil_mask(S: IncidenceStructure, p: int, L: int) -> int:
     """Block mask of the near pencil of (p, L), p off L: bit L and the bit
@@ -487,8 +463,11 @@ def conic_points(q: int) -> tuple[int, ...]:
     Returns point indices in the canonical plane. The set has q+1 points
     and no 3 of them are collinear (a line meets it in at most 2 points).
     In the point order of _pg_data, (0:0:1) is point 0 and (1:y:z) is
-    point q+1 + y*q + z, so the indices come out ascending.
+    point q+1 + y*q + z, so the indices come out ascending. Like
+    projective_plane, it supports q <= 25.
     """
+    if q > 25:
+        raise ValueError("conic_points supports q <= 25")
     pe = prime_power(q)
     if pe is None:
         raise NotPrimePower(f"{q} is not a prime power")

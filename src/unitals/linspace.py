@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from math import isqrt
 
 from .errors import (
@@ -68,7 +67,6 @@ from .errors import (
     InternalCheckFailed,
     LemmaViolation,
     NotAffinePlane,
-    NotInScope,
     QTooSmall,
 )
 from .incidence import IncidenceStructure, _common, validate
@@ -109,11 +107,6 @@ class LinSpaceClass:
     thin_point: int | None = None
     thin_line: int | None = None    # the unique size-q line through the thin point
     embedding: EmbeddingWitness | None = None
-
-
-class Q2SpecialCase(Enum):
-    AFFINE_PLANE_OF_ORDER_2 = "affine_plane_of_order_2"
-    NEAR_PENCIL_STRUCTURE = "near_pencil_structure"
 
 
 def check_assumptions(D: IncidenceStructure, q: int) -> AssumptionReport:
@@ -171,11 +164,10 @@ def thin_points(D: IncidenceStructure, q: int) -> list[int]:
 def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass:
     """Three-way classification, optionally with an embedding witness.
 
-    Requires q >= 3 (4-point spaces go through q2_special_classify) and
-    the standing assumptions. Every case constructs its host plane of
-    order q from D (see the module docstring), for every q, and the
-    returned embedding is re-checked by the independent witness verifier;
-    pass embed=False to skip the embedding.
+    Requires q >= 3 and the standing assumptions. Every case constructs
+    its host plane of order q from D (see the module docstring), for
+    every q, and the returned embedding is re-checked by the independent
+    witness verifier; pass embed=False to skip the embedding.
     """
     if q < 3:
         raise QTooSmall("classification requires q >= 3")
@@ -372,28 +364,3 @@ def embedding_errors(D: IncidenceStructure, w: EmbeddingWitness, q: int) -> list
     if len(w.deleted) != q + 1:
         problems.append(f"deleted set has {len(w.deleted)} points, want q+1 = {q + 1}")
     return problems
-
-
-def q2_special_classify(D: IncidenceStructure) -> Q2SpecialCase:
-    """Two-way classification of 4-point linear spaces with sizes <= 3.
-
-    Either the affine plane of order 2 (six 2-point lines) or the
-    structure with one 3-point line and three 2-point lines; the latter
-    contains no quadrangle (it has three collinear points). Anything
-    else raises NotInScope.
-    """
-    if D.num_points != 4:
-        raise NotInScope(f"{D.num_points} points; this classification needs 4")
-    report = validate(D)
-    if not report.is_linear_space:
-        raise NotInScope("not a linear space")
-    if any(len(t) > 3 for t in D.point_blocks) or any(len(b) > 3 for b in D.blocks):
-        raise NotInScope("a pencil or line exceeds size 3")
-    sizes = sorted(len(b) for b in D.blocks)
-    if sizes == [2] * 6:
-        return Q2SpecialCase.AFFINE_PLANE_OF_ORDER_2
-    if sizes == [2, 2, 2, 3]:
-        # no quadrangle: some three points are collinear
-        assert any(len(b) == 3 for b in D.blocks)
-        return Q2SpecialCase.NEAR_PENCIL_STRUCTURE
-    raise NotInScope(f"line size profile {sizes} is not covered")

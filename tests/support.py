@@ -7,7 +7,7 @@ from unitals.algebra import field_create
 from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError, MalformedStructure, NotAClique
-from unitals.incidence import IncidenceStructure, _bits, _common, near_pencil
+from unitals.incidence import IncidenceStructure, _bits, _common
 from unitals.linspace import complete_affine
 
 
@@ -209,8 +209,57 @@ def classify_clique_oracle(S, clique) -> CliqueClassification:
                             members, size, "near_pencil", point=p, line=L)
                 except MalformedStructure:
                     continue
-    note = "sub-pencil" if common else None
-    return CliqueClassification(members, size, "other", note=note)
+    return CliqueClassification(members, size, "other")
+
+
+def near_pencil(S, p: int, L: int) -> tuple[int, ...]:
+    """Block L plus the block joining p to each point of L, for p off L,
+    found from the block tuples alone: the reference the library's
+    near-pencil mask is checked against. Raises ValueError when p lies on
+    L, and MalformedStructure when some join is missing or not unique."""
+    blocks = S.blocks
+    if p in blocks[L]:
+        raise ValueError(f"point {p} lies on block {L}")
+    through_p = [i for i, b in enumerate(blocks) if p in b]
+    out = {L}
+    for x in blocks[L]:
+        joins = [i for i in through_p if x in blocks[i]]
+        if len(joins) != 1:
+            raise MalformedStructure(
+                f"no unique block joins {p} and {x}; not a linear space")
+        out.add(joins[0])
+    return tuple(sorted(out))
+
+
+def star_failures(S, clique, q: int) -> list[tuple[int, int]]:
+    """The star property of a clique of q^2 blocks, which holds when the
+    returned list is empty: each block outside it that does not meet
+    exactly q+1 members, with its meet count. Meets are counted by set
+    intersection. Raises ValueError for a clique of another size."""
+    members = sorted(set(clique))
+    if len(members) != q * q:
+        raise ValueError(f"clique has {len(members)} blocks, expected {q * q}")
+    sets = block_sets(S)
+    inside = set(members)
+    failures = []
+    for b, block in enumerate(sets):
+        if b not in inside:
+            met = sum(1 for m in members if block & sets[m])
+            if met != q + 1:
+                failures.append((b, met))
+    return failures
+
+
+def q2_special_classify(D) -> str | None:
+    """Two-way classification of the 4-point linear spaces with lines of
+    at most 3 points: "affine_plane_of_order_2" (six 2-point lines) or
+    "near_pencil_structure" (one 3-point line and three 2-point lines, so
+    no quadrangle). None for any other input."""
+    if D.num_points != 4 or not linearity_oracle(D)[1]:
+        return None
+    sizes = tuple(sorted(len(b) for b in D.blocks))
+    return {(2,) * 6: "affine_plane_of_order_2",
+            (2, 2, 2, 3): "near_pencil_structure"}.get(sizes)
 
 
 def hall_plane() -> IncidenceStructure:

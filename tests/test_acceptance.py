@@ -9,13 +9,12 @@ import time
 from collections import Counter
 from itertools import combinations
 
-from support import block_sets, naive_maximal_cliques, sweep_graph
+from support import block_sets, naive_maximal_cliques, star_failures, sweep_graph
 
 from unitals.cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
-    verify_star_property,
 )
 from unitals.confluence import (
     ConfluenceGraph,
@@ -30,7 +29,6 @@ from unitals.incidence import (
     conic_points,
     find_onan,
     hermitian_unital,
-    pencil,
     projective_plane,
     puncture,
     validate,
@@ -97,8 +95,8 @@ def test_c04_star_property_on_all_pencils(h3, h4):
     """Criterion 4: every outside block meets exactly q+1 members of a pencil."""
     for q, H in ((3, h3), (4, h4)):
         for p in range(H.num_points):
-            report = verify_star_property(H, pencil(H, p), q)
-            assert report.passed, f"q={q}, point {p}: {report.failures[:3]}"
+            failures = star_failures(H, H.point_blocks[p], q)
+            assert not failures, f"q={q}, point {p}: {failures[:3]}"
     _report("criterion 4", "star check passed on all 28 + 65 pencils")
 
 

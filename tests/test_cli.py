@@ -319,6 +319,18 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target, message", [
+    ("pg", "projective_plane supports q <= 25"),
+    ("hermitian", "hermitian_unital supports q <= 5"),
+], ids=["pg", "hermitian"])
+def test_build_refuses_a_huge_q_before_factoring_it(monkeypatch, capsys, target, message):
+    def factor(n):  # trial division of 2^61 - 1 would run for hours
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr("unitals.incidence.prime_power", factor)
+    assert run("build", target, "--q", "2305843009213693951") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("spec, blocks", [
     ("line-swap", [[0, 1, 2]]),
     ("line", []),

@@ -1,4 +1,4 @@
-"""Clique enumeration, the naive oracle, classification, star check."""
+"""Clique enumeration, the naive oracle, classification, star property."""
 
 from itertools import combinations
 
@@ -8,6 +8,8 @@ from support import (
     block_sets,
     classify_clique_oracle,
     naive_maximal_cliques,
+    near_pencil,
+    star_failures,
     subset_filter_cliques,
     sweep_graph,
 )
@@ -16,17 +18,14 @@ from unitals.cliques import (
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
-    verify_star_property,
 )
 from unitals.confluence import ConfluenceGraph, build_confluence
-from unitals.errors import MalformedStructure, NotAClique, WrongCliqueSize
+from unitals.errors import MalformedStructure, NotAClique
 from unitals.incidence import (
     IncidenceStructure,
     affine_plane,
     conic_points,
     hermitian_unital,
-    near_pencil,
-    pencil,
     projective_plane,
     puncture,
 )
@@ -149,7 +148,7 @@ def test_max_clique_sizes_on_unitals(cg2, cg3):
 # --- classification ---
 
 def test_classify_pencil(h3):
-    result = classify_clique(h3, pencil(h3, 5))
+    result = classify_clique(h3, h3.point_blocks[5])
     assert result.tag == "pencil" and result.point == 5 and result.size == 9
 
 
@@ -182,12 +181,12 @@ def test_classify_triangle_as_other(h3):
             break
     assert found is not None
     result = classify_clique(h3, found)
-    assert result.tag == "other" and result.note is None
+    assert result.tag == "other" and result.point is None
 
 
 def test_classify_sub_pencil(h3):
-    result = classify_clique(h3, pencil(h3, 0)[:4])
-    assert result.tag == "other" and result.note == "sub-pencil"
+    result = classify_clique(h3, h3.point_blocks[0][:4])
+    assert result.tag == "other" and result.point is None
 
 
 def test_classify_rejects_non_clique(h3):
@@ -262,7 +261,7 @@ def test_classify_skips_an_apex_with_a_missing_join(num_points, blocks, clique,
 
 def test_classify_rejects_non_clique_like_the_oracle(h3):
     sets = block_sets(h3)
-    through_0 = pencil(h3, 0)
+    through_0 = h3.point_blocks[0]
     disjoint = next(i for i, b in enumerate(sets) if not b & sets[through_0[0]])
     clique = (*through_0[:3], disjoint)
     with pytest.raises(NotAClique) as fast:
@@ -275,25 +274,21 @@ def test_classify_rejects_non_clique_like_the_oracle(h3):
 # --- star property ---
 
 def test_star_property_on_pencils(h3):
-    report = verify_star_property(h3, pencil(h3, 0), 3)
-    assert report.passed and report.expected == 4
-    assert report.outside_blocks == 63 - 9 and not report.failures
+    assert star_failures(h3, h3.point_blocks[0], 3) == []
 
 
 def test_star_property_on_non_pencil_extremal_clique(h2, cg2):
     clique = next(c for c in enumerate_maximal_cliques(cg2)
                   if classify_clique(h2, c).tag != "pencil")
-    assert verify_star_property(h2, clique, 2).passed  # bound is tight at q=2 too
+    assert star_failures(h2, clique, 2) == []  # bound is tight at q=2 too
 
 
 def test_star_property_rejects_wrong_size(h3):
-    with pytest.raises(WrongCliqueSize):
-        verify_star_property(h3, pencil(h3, 0)[:8], 3)
+    with pytest.raises(ValueError):
+        star_failures(h3, h3.point_blocks[0][:8], 3)
 
 
 def test_star_property_failure_is_reported(pg3):
     # any 9 lines of a projective plane are mutually intersecting, but the
     # 4 outside lines meet all 9 of them rather than q+1
-    report = verify_star_property(pg3, range(9), 3)
-    assert not report.passed
-    assert report.failures == [(b, 9) for b in range(9, 13)]
+    assert star_failures(pg3, range(9), 3) == [(b, 9) for b in range(9, 13)]

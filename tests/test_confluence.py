@@ -208,6 +208,8 @@ def test_dimacs_reader_accepts_comments_and_blanks(tmp_path):
     "p edge 3 2\ne 1 2\ne 1 2\n",      # duplicate edge
     "p edge 3 1\ne 2 1\n",           # reversed endpoints
     "p edge 3 2\ne 2 3\ne 1 2\n",      # edges out of order
+    "carrot 1 2\np edge 3 0\n",     # first token is not exactly "c"
+    "p edge 3 1\nc late\ne 1 2\n",   # comment after the header
 ])
 def test_dimacs_reader_rejects(text, tmp_path):
     path = tmp_path / "bad.dimacs"

@@ -7,28 +7,24 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import block_sets, linearity_oracle, pair_coverage, pg_data_oracle
+from support import block_sets, linearity_oracle, near_pencil, pair_coverage, pg_data_oracle
 
 from unitals.algebra import field_create, prime_power, quadratic_extension
 from unitals.errors import (
-    DegeneratePoint,
     FormatError,
-    IncidentPair,
     InvalidPointSet,
     MalformedStructure,
     NotPrimePower,
 )
 from unitals.incidence import (
     IncidenceStructure,
+    OnanConfiguration,
     _pg_data,
     affine_plane,
     conic_points,
-    dual,
     find_onan,
     from_json_dict,
     hermitian_unital,
-    near_pencil,
-    pencil,
     projective_plane,
     puncture,
     to_json_dict,
@@ -182,6 +178,14 @@ def test_puncture_conic(pg3):
     assert Counter(map(len, D.blocks)) == {2: 6, 3: 4, 4: 3}
 
 
+def test_conic_points_refuses_a_huge_q_before_factoring_it(monkeypatch):
+    def factor(n):
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr("unitals.incidence.prime_power", factor)
+    with pytest.raises(ValueError, match="^conic_points supports q <= 25$"):
+        conic_points(2**61 - 1)
+
+
 def test_conic_has_no_three_collinear(pg3):
     conic = set(conic_points(3))
     assert len(conic) == 4
@@ -237,43 +241,17 @@ def test_hermitian_rejects_non_prime_power():
         hermitian_unital(6)
 
 
-# --- dual ---
-
-def test_dual_involution_pg2():
-    P = projective_plane(2)
-    assert isomorphic(dual(dual(P)), P) is not None
-
-
-def test_dual_of_ag2_is_onan_shape():
-    D = dual(affine_plane(2))
-    assert D.num_points == 6 and len(D.blocks) == 4
-    assert Counter(map(len, D.blocks)) == {3: 4}
-    assert len(find_onan(D)) == 1  # it is itself the whole configuration
-
-
-def test_dual_pg3_is_a_plane(pg3):
-    D = dual(pg3)
-    assert D.num_points == 13 and len(D.blocks) == 13
-    assert validate(D).is_linear_space
-
-
-def test_dual_rejects_degenerate_point():
-    S = IncidenceStructure(4, [[0, 1], [2, 3]])
-    with pytest.raises(DegeneratePoint):
-        dual(S)
-
-
 # --- pencils and near pencils ---
 
 def test_pencil_sizes(h3):
-    assert all(len(pencil(h3, p)) == 9 for p in range(h3.num_points))
+    assert all(len(h3.point_blocks[p]) == 9 for p in range(h3.num_points))
     A = affine_plane(3)
-    assert all(len(pencil(A, p)) == 4 for p in range(9))
+    assert all(len(A.point_blocks[p]) == 4 for p in range(9))
 
 
 def test_pencil_of_unused_point():
     S = IncidenceStructure(5, [[0, 1], [1, 2]])
-    assert pencil(S, 4) == ()
+    assert S.point_blocks[4] == () and S.pencil_masks[4] == 0
 
 
 def _non_incident_pair(S):
@@ -304,7 +282,7 @@ def test_near_pencil_in_affine_plane():
 def test_near_pencil_rejects_incident_pair(h3):
     L = 0
     p = h3.blocks[0][0]
-    with pytest.raises(IncidentPair):
+    with pytest.raises(ValueError):
         near_pencil(h3, p, L)
 
 
@@ -372,6 +350,13 @@ def test_onan_respects_limit():
     assert len(find_onan(P, limit=3)) == 3
     with pytest.raises(ValueError):
         find_onan(P, limit=-1)
+
+
+def test_onan_finds_the_configuration_itself():
+    # the six meets of four lines in general position, named by the two
+    # lines through each: 01 02 03 12 13 23; line i holds the meets on it
+    S = IncidenceStructure(6, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]])
+    assert find_onan(S) == [OnanConfiguration((0, 1, 2, 3), (0, 1, 2, 3, 4, 5))]
 
 
 def test_onan_configuration_shape():
