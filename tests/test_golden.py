@@ -36,6 +36,7 @@ INPUTS = {
     "ag3-swap": ("build", "puncture", "--q", "3", "--delete", "line-swap"),
     "pg3-conic": ("build", "puncture", "--q", "3", "--delete", "conic"),
     "pg4-conic": ("build", "puncture", "--q", "4", "--delete", "conic"),
+    "pg5-conic": ("build", "puncture", "--q", "5", "--delete", "conic"),
     "ag4-line": ("build", "puncture", "--q", "4", "--delete", "line"),
     "ag4-swap": ("build", "puncture", "--q", "4", "--delete", "line-swap"),
 }
@@ -62,6 +63,9 @@ def _cases():
     cases["graph-h2-stdout"] = ("graph", "{h2}")
     cases["srg-h3-mismatch"] = ("srg", "{h3}", "--expect-unital", "4")
     cases["onan-pg4-conic"] = ("onan", "{pg4-conic}")
+    for limit in ("20", "25"):
+        cases[f"onan-limit{limit}-pg4-conic"] = ("onan", "{pg4-conic}", "--limit", limit)
+    cases["onan-pg5-conic"] = ("onan", "{pg5-conic}")
     for q in (3, 4):
         for name in (f"ag{q}-line", f"ag{q}-swap", f"pg{q}-conic"):
             cases[f"classify-linspace-{name}"] = ("classify-linspace", f"{{{name}}}", "--q",
@@ -113,7 +117,10 @@ GOLDEN = {
     "onan-h2": "7c8a7e44b172401855fa045598d61b1c092be3073afb35a2a1a111a4fb0e502c",
     "onan-h3": "7c8a7e44b172401855fa045598d61b1c092be3073afb35a2a1a111a4fb0e502c",
     "onan-h4": "7c8a7e44b172401855fa045598d61b1c092be3073afb35a2a1a111a4fb0e502c",
+    "onan-limit20-pg4-conic": "b84d82c7b1737bb7d5dd35f4e8c3ddacda2869d5bb9679e75fed845c7c0d5e93",
+    "onan-limit25-pg4-conic": "4a8c5b93dee8f54c72b953577097701c3317b2660197532c08872367f18ffab3",
     "onan-pg4-conic": "b3f1b2378ea2e59705d2f482204a27f4b8c635f220d31057ced900a8b24f1fe9",
+    "onan-pg5-conic": "08d3f6a8e54548145fa0b602dfecf767fb914c9f4df5759b3ad3a1ff7ad34d25",
     "puncture-3-conic": "c5c7be3da2fc47da82f597e87dbd03a6ec15fa061a329d7e433694a4aa2412cc",
     "puncture-3-line": "9435480d904aa17f22cc65647ede976f70c215c6c3b9d35e404ece06f73b0a25",
     "puncture-3-line-swap": "ee48b9ee04171d1905675f9b2ac34b6f65300ac12ddea0aa19fc4f263ed1e913",
