@@ -34,6 +34,7 @@ from .incidence import (
     OnanConfiguration,
     affine_plane,
     conic_points,
+    count_onan,
     find_onan,
     hermitian_unital,
     projective_plane,

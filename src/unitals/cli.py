@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("onan", help="search 4-line/6-point configurations")
     p.add_argument("input", metavar="FILE")
-    p.add_argument("--limit", type=int, default=0, help="stop after N hits (0 = exhaustive)")
+    p.add_argument("--limit", type=int, default=0, help="cap the printed count at N (0 = exhaustive)")
     p.add_argument("--expect-none", action="store_true",
                    help="exit 1 if any configuration is found")
 
@@ -251,14 +251,18 @@ def _write_records(path: str, records) -> None:
 
 def cmd_onan(args) -> int:
     S = inc.read_json(args.input)
-    configs = inc.find_onan(S, limit=args.limit)
-    print(f"onan_configurations={len(configs)}")
-    for cfg in configs[:20]:
+    shown = min(args.limit or 20, 20)
+    configs = inc.find_onan(S, limit=shown)
+    count = len(configs)
+    if count == shown and args.limit != shown:  # more may follow: count them
+        count = inc.count_onan(S, limit=args.limit)
+    print(f"onan_configurations={count}")
+    for cfg in configs:
         print(f"blocks={','.join(map(str, cfg.blocks))} "
               f"points={','.join(map(str, cfg.points))}")
-    if len(configs) > 20:
-        print(f"... {len(configs) - 20} more")
-    if args.expect_none and configs:
+    if count > 20:
+        print(f"... {count - 20} more")
+    if args.expect_none and count:
         return 1
     return 0
 

@@ -35,6 +35,7 @@ format_json, the one writer, whose text the CLI emits).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -352,15 +353,35 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
 
     Enumeration is exhaustive in lexicographic order over sorted block
     quadruples; a positive `limit` stops after that many hits, and a
-    negative one raises ValueError. The input must be a partial linear
-    space, so two meeting blocks share exactly one point: the single bit
-    of their block masks' AND.
+    negative one raises ValueError, as does an input that is not a
+    partial linear space. See _onan_scan for the search.
+    """
+    return _onan_scan(S, limit, limit or math.inf)[1]
+
+
+def count_onan(S: IncidenceStructure, limit: int = 0) -> int:
+    """len(find_onan(S, limit)), with the same checks and ValueErrors, but
+    counted by popcount: no configuration is built."""
+    return _onan_scan(S, limit, 0)[0]
+
+
+def _onan_scan(S: IncidenceStructure, limit: int,
+               keep: float) -> tuple[int, list[OnanConfiguration]]:
+    """(count, configurations) of the 4-line/6-point configurations of S.
+
+    The count is exact, capped at a positive `limit`; only the first
+    `keep` configurations, in lexicographic order of their sorted block
+    quadruples, are built. The input must be a partial linear space, so
+    two meeting blocks share exactly one point: the single bit of their
+    block masks' AND.
 
     Candidates are pruned by pencils (xy is the meet of blocks x and y):
     k avoids the pencil of ij, and l those of ij, ik and jk. So no three
     of the four blocks share a point, and the six meets are distinct by
     construction: xy = xz would put one point on x, y and z, and xy = zw
-    one point on all four.
+    one point on all four. Every l left in the last bitset completes a
+    configuration, so each (i, j, k) adds that bitset's popcount to the
+    count.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
@@ -368,6 +389,7 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
         raise ValueError("input is not a partial linear space")
     rows, masks, pencils = S.block_rows, S.block_masks, S.pencil_masks
     nb = len(S.blocks)
+    count = 0
     found: list[OnanConfiguration] = []
     for i in range(nb):
         bi = masks[i]
@@ -389,7 +411,10 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
                 ik = (bi & bk).bit_length() - 1
                 jk = (bj & bk).bit_length() - 1
                 ml = cand_k & rows[k] >> (k + 1) << (k + 1) & ~(pencils[ik] | pencils[jk])
-                while ml:
+                if not ml:
+                    continue
+                count += ml.bit_count()
+                while ml and len(found) < keep:
                     lbit = ml & -ml
                     l = lbit.bit_length() - 1
                     ml ^= lbit
@@ -397,9 +422,9 @@ def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
                     pts = (ij, ik, (bi & bl).bit_length() - 1, jk,
                            (bj & bl).bit_length() - 1, (bk & bl).bit_length() - 1)
                     found.append(OnanConfiguration((i, j, k, l), tuple(sorted(pts))))
-                    if limit and len(found) >= limit:
-                        return found
-    return found
+                if limit and count >= limit:
+                    return limit, found
+    return count, found
 
 
 # --- incidence-v1 JSON ---

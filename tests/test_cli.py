@@ -6,7 +6,16 @@ import pytest
 
 from unitals import cli
 from unitals.cli import main
-from unitals.incidence import read_json, validate_unital
+from unitals.incidence import (
+    IncidenceStructure,
+    conic_points,
+    find_onan,
+    format_json,
+    projective_plane,
+    puncture,
+    read_json,
+    validate_unital,
+)
 
 
 def run(*argv):
@@ -165,6 +174,72 @@ def test_onan_expectations(tmp_path, h3_json):
     assert run("onan", str(pg2), "--expect-none") == 1
     assert run("onan", str(pg2), "--limit", "2", "--expect-none") == 1
     assert run("onan", str(pg2), "--limit", "-1") == 2
+
+
+def _onan_stdout(S, limit=0):
+    """What `onan` prints, formatted from find_onan's full list: the count
+    of hits up to the limit, the first 20 of them, and how many more."""
+    configs = find_onan(S, limit)
+    lines = [f"onan_configurations={len(configs)}"]
+    lines += [f"blocks={','.join(map(str, c.blocks))} points={','.join(map(str, c.points))}"
+              for c in configs[:20]]
+    if len(configs) > 20:
+        lines.append(f"... {len(configs) - 20} more")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture()
+def onan_scans(monkeypatch):
+    """Names of the O'Nan scans `onan` runs, in call order."""
+    calls = []
+    for name in ("find_onan", "count_onan"):
+        def spy(S, limit=0, _name=name, _fn=getattr(cli.inc, name)):
+            calls.append(_name)
+            return _fn(S, limit)
+        monkeypatch.setattr(cli.inc, name, spy)
+    return calls
+
+
+def test_onan_prints_exactly_twenty_hits_without_a_more_line(tmp_path, capsys, onan_scans):
+    # 20 pairwise disjoint copies of the configuration: exactly 20 hits
+    copy = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
+    S = IncidenceStructure(120, [[6 * c + p for p in b] for c in range(20) for b in copy])
+    path = tmp_path / "twenty.json"
+    path.write_text(format_json(S))
+    assert run("onan", str(path)) == 0
+    out = capsys.readouterr().out
+    assert out == _onan_stdout(S)
+    assert out.startswith("onan_configurations=20\n") and "more" not in out
+    assert onan_scans == ["find_onan", "count_onan"]
+
+
+@pytest.mark.parametrize("limit, scans", [
+    ("20", ["find_onan"]),
+    ("3", ["find_onan"]),
+    ("25", ["find_onan", "count_onan"]),
+    ("0", ["find_onan", "count_onan"]),
+])
+def test_onan_limit_boundaries_on_375_hits(tmp_path, capsys, onan_scans, limit, scans):
+    S = puncture(projective_plane(4), conic_points(4))
+    path = tmp_path / "pg4-conic.json"
+    path.write_text(format_json(S))
+    assert run("onan", str(path), "--limit", limit) == 0
+    assert capsys.readouterr().out == _onan_stdout(S, int(limit))
+    assert onan_scans == scans
+
+
+def test_onan_expect_none_on_a_hit_rich_input(tmp_path, capsys):
+    path = tmp_path / "pg4-conic.json"
+    path.write_text(format_json(puncture(projective_plane(4), conic_points(4))))
+    assert run("onan", str(path), "--expect-none") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("onan_configurations=375\n") and out.endswith("... 355 more\n")
+
+
+def test_onan_without_hits_scans_once(h3_json, capsys, onan_scans):
+    assert run("onan", str(h3_json), "--expect-none") == 0
+    assert capsys.readouterr().out == "onan_configurations=0\n"
+    assert onan_scans == ["find_onan"]
 
 
 def test_classify_linspace_cases(tmp_path, capsys):

@@ -22,6 +22,7 @@ from unitals.incidence import (
     _pg_data,
     affine_plane,
     conic_points,
+    count_onan,
     find_onan,
     from_json_dict,
     hermitian_unital,
@@ -339,6 +340,31 @@ def test_onan_matches_oracle(name):
         assert len(found) == count
     for k in (1, 5, 37):
         assert find_onan(S, limit=k) == found[:k]
+
+
+@pytest.mark.parametrize("name", _ONAN_INPUTS)
+def test_count_onan_is_the_length_of_find_onan(name):
+    S = _ONAN_INPUTS[name][0]()
+    for k in (0, 1, 5, 37, 10**6):
+        assert count_onan(S, k) == len(find_onan(S, k))
+
+
+def test_count_onan_builds_no_configuration(monkeypatch):
+    S = puncture(projective_plane(4), conic_points(4))
+
+    def refuse(*args):
+        raise AssertionError("count_onan built a configuration")
+
+    monkeypatch.setattr("unitals.incidence.OnanConfiguration", refuse)
+    assert count_onan(S) == 375
+    assert count_onan(S, limit=37) == 37
+
+
+def test_count_onan_rejects_what_find_onan_rejects():
+    with pytest.raises(ValueError):
+        count_onan(projective_plane(2), limit=-1)
+    with pytest.raises(ValueError):
+        count_onan(IncidenceStructure(4, [[0, 1, 2], [1, 2, 3]]))
 
 
 def test_onan_oracle_agreement_on_h2(h2):
