@@ -7,7 +7,7 @@ from unitals.algebra import field_create
 from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError, MalformedStructure, NotAClique
-from unitals.incidence import IncidenceStructure, _bits, _common
+from unitals.incidence import IncidenceStructure
 from unitals.linspace import complete_affine
 
 
@@ -177,32 +177,27 @@ def brute_force_isomorphic(S1, S2) -> bool:
 
 
 def classify_clique_oracle(S, clique) -> CliqueClassification:
-    """Reference for cliques.classify_clique: each member's candidate apexes
-    from an AND over all the other members (O(size^2)), and each near-pencil
-    candidate compared as a block tuple."""
+    """Reference for cliques.classify_clique, built from the block tuples
+    alone, so a fault in the bitset tables the classifier reads cannot
+    pass both: disjointness and common points come from set
+    intersections, a pencil from a scan of every block, and each
+    near-pencil candidate is compared as a block tuple."""
     members = tuple(sorted(set(clique)))
-    rows, masks = S.block_rows, S.block_masks
-    mask = sum(1 << i for i in members)
-    for i in members:
-        disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
-        if disjoint:
-            j = (disjoint & -disjoint).bit_length() - 1
+    sets = block_sets(S)
+    for i, j in combinations(members, 2):
+        if not sets[i] & sets[j]:
             raise NotAClique(f"blocks {i} and {j} are disjoint")
     size = len(members)
 
-    common = _common(masks, members) if members else 0
-    pencils = S.pencil_masks
-    for p in _bits(common):
-        if pencils[p] == mask:
+    common = frozenset.intersection(*(sets[i] for i in members)) if members else ()
+    for p in sorted(common):
+        if tuple(i for i, b in enumerate(sets) if p in b) == members:
             return CliqueClassification(members, size, "pencil", point=p)
 
     if size >= 3:
         for L in members:
-            apex = ~masks[L]
-            for i in members:
-                if i != L:
-                    apex &= masks[i]
-            for p in _bits(apex):
+            apex = frozenset.intersection(*(sets[i] for i in members if i != L)) - sets[L]
+            for p in sorted(apex):
                 try:
                     if near_pencil(S, p, L) == members:
                         return CliqueClassification(
