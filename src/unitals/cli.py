@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("onan", help="search 4-line/6-point configurations")
     p.add_argument("input", metavar="FILE")
-    p.add_argument("--limit", type=int, default=0, help="cap the printed count at N (0 = exhaustive)")
+    p.add_argument("--limit", type=int, default=0,
+                   help="cap the printed count at N (0 = exhaustive)")
     p.add_argument("--expect-none", action="store_true",
                    help="exit 1 if any configuration is found")
 
