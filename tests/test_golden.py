@@ -47,6 +47,9 @@ def _cases():
     for target in ("hermitian", "pg", "ag"):
         for q in (2, 3, 4):
             cases[f"build-{target}-{q}"] = ("build", target, "--q", str(q), "-o", "out.json")
+    # GF(8), GF(9), GF(16) and GF(25) labels, and the unital over GF(25)
+    for target, q in (("pg", 8), ("pg", 9), ("pg", 16), ("pg", 25), ("hermitian", 5)):
+        cases[f"build-{target}-{q}"] = ("build", target, "--q", str(q), "-o", "out.json")
     for q, points in ((3, "0,5,9,12"), (4, "1,2,7,11,20")):
         for spec in ("line", "line-swap", "conic", points):
             name = "list" if spec == points else spec
@@ -91,9 +94,14 @@ GOLDEN = {
     "build-hermitian-2": "55479eb8500fabe1e8249ea6448eb8bcceeba777a5a8c4bb05cbce304fe778d4",
     "build-hermitian-3": "18409afbf06a346421aba5a647535d2af5b344bfa406e6675e03718d9d7d53a3",
     "build-hermitian-4": "ba936f8c18f342e9f1a9e7af65ddfb3648bdfd5d5d3da57a7f41e53f8f2a0565",
+    "build-hermitian-5": "904b7a8a55a6a5c5a04812c505a5710ab4e1c44125e158bd8dd991d7324eb3a5",
+    "build-pg-16": "9b0b46ae559461dfc37a63f6fc006381260f9e063bea49a2b34f28ddb96df730",
     "build-pg-2": "f6a40196bcaf3ef2357d7bfc2aa50988652aeac3513d0ff10a51ca23a31484d8",
+    "build-pg-25": "12741ac67f3d866e65a9fc4b19e74439f0ab54a94d7d5c2f682b66d38f4229e1",
     "build-pg-3": "5e200659a4c7ee96aae5568dc3176b95cdc31313db87bde756f8543340342c53",
     "build-pg-4": "3a34489be3a3338f265c3d37a44e4437ec2d4df766d540486b51fd75c699dd68",
+    "build-pg-8": "6a6c12ecd50a193d61cf352691fa58fe8b363085a3b16c68ec05611b6835fe5a",
+    "build-pg-9": "e36c130d68f20e76ec65bba0b44d86b02bb41cec7cd713bd2f9c2da18316d15d",
     "classify-linspace-ag3-line": "884b70ae93af5823f98ee084a5f563a3242d67a8aa0e3dc30d731c01cc680c8f",
     "classify-linspace-ag3-swap": "dd170ab29f93099fc63182a32f40b3ab5e50a553c09d1cf0279ddaa761bd2a7e",
     "classify-linspace-ag4-line": "d4fd2ff04bed2022a7db79e794f8f5f3ec3eb3be5dfb66b123256b741ba5c497",
@@ -105,10 +113,10 @@ GOLDEN = {
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",
     "cliques-classify-h4": "9a5cefdba2c446f746b5a758b4f0eb372b4046962549888a8e05ef114e192b42",
     "cliques-classify-json-ag3-minus-class": "33227b35261de108dc44241448a6056c032dde54e94c8f5db5ba2dc84b987844",
+    "cliques-json-h3": "8f62a5a80af7356da96ff73308a32080247469b9a5ca691a2647c970d5db3380",
     "cliques-max-h2": "b36296b1689a4053d7958d5b7a5ecd48549448807246c4e06b232c212574b165",
     "cliques-max-h3": "d9a1aae212d7e69ba7e80ad1c57180606ce33bb96695deb6fbfb72a553562e02",
     "cliques-max-h4": "548605d4ce810214c2cd83bede8e479743db92ff94fa69c10a2c9380481beb4f",
-    "cliques-json-h3": "8f62a5a80af7356da96ff73308a32080247469b9a5ca691a2647c970d5db3380",
     "graph-h2": "41bda0d4e54d991dfefbbebfc0698029c81cade535e7675a143438eddea5bcf8",
     "graph-h2-stdout": "64dd1d9fbabbb72d673c101859b14e9718abe4f673a5868e0b150612b11675cd",
     "graph-h3": "6f84f370bc8001b9fccf1ca1e9263fd6ff8e3630d042afd832c4f22925e4baab",
