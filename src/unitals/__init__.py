@@ -2,7 +2,7 @@
 
 Library layout:
 
-  algebra      exact GF(p^e) arithmetic and conjugation on GF(q^2)
+  algebra      GF(q) addition and multiplication tables
   incidence    incidence structures, classical constructions, O'Nan search
   confluence   block-intersection graphs, strong regularity, ratio bound
   cliques      maximal-clique enumeration and pencil/near-pencil tags
@@ -11,7 +11,7 @@ Library layout:
   cli          command-line interface (`unitals ...`)
 """
 
-from .algebra import FieldSpec, field_create, quadratic_extension
+from .algebra import Field, field_create
 from .cliques import (
     CliqueClassification,
     classify_clique,

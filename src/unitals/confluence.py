@@ -78,12 +78,6 @@ class ConfluenceGraph:
         return (isinstance(other, ConfluenceGraph)
                 and self.n == other.n and self.rows == other.rows)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
-
-    def __repr__(self) -> str:
-        return f"ConfluenceGraph({self.n} vertices, {self.edge_count()} edges)"
-
 
 @dataclass(frozen=True)
 class SrgParams:

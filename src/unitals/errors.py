@@ -11,20 +11,8 @@ class GeometryError(Exception):
 
 # --- finite field arithmetic ---
 
-class CompositeCharacteristic(GeometryError):
-    """The requested characteristic is not prime."""
-
-
 class TooLarge(GeometryError):
     """The requested object exceeds the supported size bound."""
-
-
-class DivisionByZero(GeometryError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
-class NotQuadraticExtension(GeometryError):
-    """Conjugation requires a field tagged as GF(q^2) over GF(q)."""
 
 
 class NotPrimePower(GeometryError):

@@ -9,9 +9,10 @@ construction.
 Provided constructions: the classical projective plane PG(2,q) over
 GF(q), the affine plane AG(2,q), point-set deletions ("punctures"),
 and the Hermitian unital of order q (absolute points of a unitary
-polarity of PG(2,q^2) with its secant-line sections). The plane and
-unital constructions check their size caps before they factor q, which
-takes O(sqrt(q)) steps, so a huge q is refused at once.
+polarity of PG(2,q^2) with its secant-line sections). They compute on
+the addition and multiplication tables of algebra.field_create. The
+plane and unital constructions check their size caps before they factor
+q, which takes O(sqrt(q)) steps, so a huge q is refused at once.
 
 Three bitset tables, cached on each structure, are the one source of
 block adjacency, meets, joins and pair coverage for the whole library:
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import FieldSpec, field_create, prime_power, quadratic_extension
+from .algebra import Field, field_create, prime_power
 from .errors import (
     FormatError,
     InternalCheckFailed,
@@ -140,12 +141,6 @@ class IncidenceStructure:
                 and self.num_points == other.num_points
                 and self.blocks == other.blocks)
 
-    def __hash__(self) -> int:
-        return hash((self.num_points, self.blocks))
-
-    def __repr__(self) -> str:
-        return f"IncidenceStructure({self.num_points} points, {len(self.blocks)} blocks)"
-
 
 @dataclass
 class DesignReport:
@@ -210,8 +205,8 @@ def validate_unital(S: IncidenceStructure) -> int | None:
 
 # --- classical constructions ---
 
-def _pg_data(field: FieldSpec) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
-    """Points and line rows of PG(2, field.order).
+def _pg_data(field: Field) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """Points and line rows of PG(2,q) over the field GF(q).
 
     Points are homogeneous coordinate triples of element encodings,
     normalized so the first nonzero coordinate is 1, listed in ascending
@@ -220,14 +215,13 @@ def _pg_data(field: FieldSpec) -> tuple[list[tuple[int, int, int]], list[list[in
     Each line a*x + b*y + c*z = 0 is solved for its q+1 points directly,
     and its row comes out ascending.
     """
-    q = field.order
+    add, mul = field
+    q = len(add)
     points = [(0, 0, 1)]
     points += [(0, 1, z) for z in range(q)]
     points += [(1, y, z) for y in range(q) for z in range(q)]
-    add = [[field.add_idx(a, b) for b in range(q)] for a in range(q)]
-    mul = [[field.mul_idx(a, b) for b in range(q)] for a in range(q)]
     neg = [row.index(0) for row in add]
-    inv = [0] + [field.pow_idx(a, -1) for a in range(1, q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
     # (0:0:1) is point 0, (0:1:z) point 1 + z, (1:y:z) point q+1 + y*q + z
     rows = []
     for a, b, c in points:
@@ -255,11 +249,7 @@ def projective_plane(q: int) -> IncidenceStructure:
     """
     if q > 25:
         raise ValueError("projective_plane supports q <= 25")
-    pe = prime_power(q)
-    if pe is None:
-        raise NotPrimePower(f"{q} is not a prime power")
-    field = field_create(*pe)
-    points, rows = _pg_data(field)
+    points, rows = _pg_data(field_create(q))
     return IncidenceStructure(len(points), rows, labels=[_label(t) for t in points])
 
 
@@ -311,10 +301,15 @@ def hermitian_unital(q: int) -> IncidenceStructure:
         raise NotPrimePower(f"{q} is not a prime power")
     if q > 5:
         raise ValueError(cap)
-    field = quadratic_extension(q)
+    field = field_create(q * q)
     points, rows = _pg_data(field)
-    norm = [field.pow_idx(t, q + 1) for t in range(field.order)]
-    add = [[field.add_idx(a, b) for b in range(field.order)] for a in range(field.order)]
+    add, mul = field
+    norm = []
+    for t in range(q * q):
+        power = 1
+        for _ in range(q + 1):
+            power = mul[power][t]
+        norm.append(power)
     absolute = [i for i, (x, y, z) in enumerate(points)
                 if add[add[norm[x]][norm[y]]][norm[z]] == 0]
     new_index = {p: i for i, p in enumerate(absolute)}
@@ -493,8 +488,5 @@ def conic_points(q: int) -> tuple[int, ...]:
     """
     if q > 25:
         raise ValueError("conic_points supports q <= 25")
-    pe = prime_power(q)
-    if pe is None:
-        raise NotPrimePower(f"{q} is not a prime power")
-    field = field_create(*pe)
-    return (0,) + tuple(q + 1 + t * q + field.mul_idx(t, t) for t in range(q))
+    mul = field_create(q).mul
+    return (0,) + tuple(q + 1 + t * q + mul[t][t] for t in range(q))

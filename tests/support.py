@@ -85,14 +85,13 @@ def block_sets(S) -> tuple[frozenset[int], ...]:
 
 
 def pg_data_oracle(field) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
-    """Points and line rows of PG(2, field.order) by testing every point
-    against every line: the O(N^2) reference for incidence._pg_data."""
-    q = field.order
+    """Points and line rows of PG(2,q) over the field GF(q) by testing every
+    point against every line: the O(N^2) reference for incidence._pg_data."""
+    add, mul = field.add, field.mul
+    q = len(add)
     points = [(0, 0, 1)]
     points += [(0, 1, z) for z in range(q)]
     points += [(1, y, z) for y in range(q) for z in range(q)]
-    add = [[field.add_idx(a, b) for b in range(q)] for a in range(q)]
-    mul = [[field.mul_idx(a, b) for b in range(q)] for a in range(q)]
     rows = []
     for a, b, c in points:
         ma, mb, mc = mul[a], mul[b], mul[c]
@@ -266,12 +265,12 @@ def hall_plane() -> IncidenceStructure:
     c * GF(3)^2 (Baer subplanes through the subline). complete_affine then
     adds the ten points at infinity, 81..90.
     """
-    F = field_create(3, 2)
-    mul, add = F.mul_idx, F.add_idx
-    gf3 = [t for t in range(9) if mul(mul(t, t), t) == t]
-    lines = {frozenset(9 * x + add(mul(m, x), b) for x in range(9))
+    F = field_create(9)
+    mul, add = F.mul, F.add
+    gf3 = [t for t in range(9) if mul[mul[t][t]][t] == t]
+    lines = {frozenset(9 * x + add[mul[m][x]][b] for x in range(9))
              for m in range(9) if m not in gf3 for b in range(9)}
-    lines |= {frozenset(9 * add(mul(c, a), u) + add(mul(c, b), v) for a in gf3 for b in gf3)
+    lines |= {frozenset(9 * add[mul[c][a]][u] + add[mul[c][b]][v] for a in gf3 for b in gf3)
               for c in range(1, 9) for u in range(9) for v in range(9)}
     assert len(lines) == 90
     return complete_affine(IncidenceStructure(81, lines)).host

@@ -402,6 +402,7 @@ def test_build_refuses_a_huge_q_before_factoring_it(monkeypatch, capsys, target,
     def factor(n):  # trial division of 2^61 - 1 would run for hours
         raise AssertionError(f"factored {n}")
     monkeypatch.setattr("unitals.incidence.prime_power", factor)
+    monkeypatch.setattr("unitals.algebra.prime_power", factor)
     assert run("build", target, "--q", "2305843009213693951") == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -149,6 +149,18 @@ def test_expected_params_lambda_formula():
         assert expected_unital_params(q).lam == 2 * q * q - 2
 
 
+@pytest.mark.parametrize("n, rows, message", [
+    (2, [0], "adjacency row count differs from n"),
+    (2, [0b100, 0], "row 0 has bits outside 0..1"),
+    (2, [0b01, 0], "vertex 0 is self-adjacent"),
+    (2, [0b10, 0], "adjacency not symmetric at (0, 1)"),
+], ids=["row-count", "outside", "loop", "asymmetric"])
+def test_graph_constructor_names_each_rejection(n, rows, message):
+    with pytest.raises(ValueError) as excinfo:
+        ConfluenceGraph(n, rows)
+    assert str(excinfo.value) == message
+
+
 def test_params_constructor_rejects_wrong_eigenvalues():
     with pytest.raises(ValueError):
         SrgParams(v=63, k=32, lam=16, mu=16, r=5, s=-4)

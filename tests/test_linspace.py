@@ -1,6 +1,7 @@
 """Linear-space classification, completions, embeddings, 4-point special case."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -72,6 +73,16 @@ def test_assumptions_fail_on_projective_plane(pg3):
     report = check_assumptions(pg3, 3)
     assert not report.passed
     assert any("point count" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("q, n, blocks, violation", [
+    (3, 9, [[0, x] for x in range(1, 6)], "pencil of point 0 has 5 > q+1 lines"),
+    (2, 4, [[0, 1, 2, 3]], "line 0 has 4 > q+1 points"),
+], ids=["pencil", "line"])
+def test_assumptions_name_an_oversized_pencil_or_line(q, n, blocks, violation):
+    report = check_assumptions(IncidenceStructure(n, blocks), q)
+    assert report.violations == (violation,)
+    assert not report.passed
 
 
 # --- projective lines and thin points ---
@@ -413,6 +424,28 @@ def test_verifier_flags_tampered_witnesses(pg3):
     assert embedding_errors(D, broken, 3)
     broken2 = type(w)(host=w.host, point_map=w.point_map, deleted=w.deleted[:-1])
     assert embedding_errors(D, broken2, 3)
+
+
+# AG(2,2) in the Fano plane: complete_affine maps it by the identity,
+# deletes (4, 5, 6), and host line 0 is (0, 1, 4)
+@pytest.mark.parametrize("point_map, deleted, problems", [
+    ((0, 1, 2), (4, 5, 6), ["point_map length differs from point count"]),
+    ((0, 1, 2, 7), (4, 5, 6), ["point_map leaves the host point range"]),
+    ((1, 1, 2, 3), (4, 5, 6), ["point_map is not injective",
+                               "line 0 maps into 3 host lines, want exactly 1",
+                               "two lines map into the same host line",
+                               "deleted set is not the complement of the image"]),
+    ((0, 1, 4, 2), (3, 5, 6), ["two lines map into the same host line"]),
+    ((0, 1, 2, 3), (0, 4, 5), ["deleted set is not the complement of the image"]),
+    ((0, 1, 2, 3), (4, 5), ["deleted set is not the complement of the image",
+                            "deleted set has 2 points, want q+1 = 3"]),
+], ids=["short-map", "outside-host", "not-injective", "collinear-lines",
+        "not-complement", "short-deleted"])
+def test_verifier_names_each_rejection(point_map, deleted, problems):
+    D = affine_plane(2)
+    w = complete_affine(D)
+    assert (w.point_map, w.deleted, w.host.blocks[0]) == ((0, 1, 2, 3), (4, 5, 6), (0, 1, 4))
+    assert embedding_errors(D, replace(w, point_map=point_map, deleted=deleted), 2) == problems
 
 
 def test_lemma_checks_catch_corrupted_inputs():
