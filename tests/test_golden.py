@@ -39,6 +39,9 @@ INPUTS = {
     "pg5-conic": ("build", "puncture", "--q", "5", "--delete", "conic"),
     "ag4-line": ("build", "puncture", "--q", "4", "--delete", "line"),
     "ag4-swap": ("build", "puncture", "--q", "4", "--delete", "line-swap"),
+    "ag8-line": ("build", "puncture", "--q", "8", "--delete", "line"),
+    "ag8-swap": ("build", "puncture", "--q", "8", "--delete", "line-swap"),
+    "pg8-conic": ("build", "puncture", "--q", "8", "--delete", "conic"),
 }
 
 
@@ -69,7 +72,8 @@ def _cases():
     for limit in ("20", "25"):
         cases[f"onan-limit{limit}-pg4-conic"] = ("onan", "{pg4-conic}", "--limit", limit)
     cases["onan-pg5-conic"] = ("onan", "{pg5-conic}")
-    for q in (3, 4):
+    # q = 8 pins witnesses over GF(8)
+    for q in (3, 4, 8):
         for name in (f"ag{q}-line", f"ag{q}-swap", f"pg{q}-conic"):
             cases[f"classify-linspace-{name}"] = ("classify-linspace", f"{{{name}}}", "--q",
                                                   str(q), "--embed", "--json", "report.json")
@@ -106,8 +110,11 @@ GOLDEN = {
     "classify-linspace-ag3-swap": "dd170ab29f93099fc63182a32f40b3ab5e50a553c09d1cf0279ddaa761bd2a7e",
     "classify-linspace-ag4-line": "d4fd2ff04bed2022a7db79e794f8f5f3ec3eb3be5dfb66b123256b741ba5c497",
     "classify-linspace-ag4-swap": "191bf0b324b1b9ef18c05be11ff5de10419ff3aecba23f5967332acae82e99dc",
+    "classify-linspace-ag8-line": "e04f682f2bb5cdcee7f9cdfeec85b9b86da6d20cfd11dac4dd1bfde01f80815b",
+    "classify-linspace-ag8-swap": "e93dc129185357c314b82a7e62928c79b7e48d2368134fa9a2eafe807a9a6abc",
     "classify-linspace-pg3-conic": "007bd907fd0db676c2685800212560f1ac522117ae1ddfb6754d402e1e0bdc22",
     "classify-linspace-pg4-conic": "29156aedcefbfa6b776c8d7c5f90e27b725daf99f6aabc8375860bac98db09c2",
+    "classify-linspace-pg8-conic": "cb804ab15d7815371266d7c36fef6e7bf1991ed181a4a0d7cc73b68a5fd7e652",
     "cliques-classify-ag3-minus-class": "6c24fa34de0b98230760ab17986718cf6ba569ad5d04a85d3b6647d9ee67a47b",
     "cliques-classify-h2": "cc3da1deb1192aa0608f0daeb6f67c7cf97928eed9c34c72e7e231feaa327a2c",
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",
