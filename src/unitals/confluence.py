@@ -68,9 +68,6 @@ class ConfluenceGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in _bits(self.rows[i]) if i < j]
 

@@ -55,7 +55,7 @@ def test_build_matches_naive_double_loop(make):
 
 def test_single_block_structure():
     G = build_confluence(IncidenceStructure(2, [[0, 1]]))
-    assert G.n == 1 and G.edge_count() == 0
+    assert G.n == 1 and len(G.edges()) == 0
 
 
 def test_unital2_graph_is_complete_multipartite(cg2):
@@ -206,7 +206,7 @@ def test_dimacs_reader_accepts_comments_and_blanks(tmp_path):
     path = tmp_path / "g.dimacs"
     path.write_text("c hello\n\np edge 3 2\ne 1 2\ne 2 3\n")
     G = read_dimacs(path)
-    assert G.n == 3 and G.edge_count() == 2
+    assert G.n == 3 and len(G.edges()) == 2
 
 
 @pytest.mark.parametrize("text", [
