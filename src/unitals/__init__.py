@@ -48,9 +48,7 @@ from .linspace import (
     LinSpaceClass,
     check_assumptions,
     classify,
-    complete_affine,
-    complete_thin_point,
-    embed_full_pencils,
+    complete_to_plane,
     embedding_errors,
     projective_lines,
     thin_points,

@@ -61,10 +61,6 @@ class AssumptionViolation(GeometryError):
     """The input does not satisfy the standing assumptions."""
 
 
-class NotAffinePlane(GeometryError):
-    """The structure is not an affine plane of the expected order."""
-
-
 class ConstructionFailed(GeometryError):
     """The completion construction met a contradiction; bad input."""
 

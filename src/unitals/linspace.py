@@ -20,13 +20,21 @@ corrupted input, not a classification):
   * at most one point has a pencil of size <= q, and such a point has
     exactly q lines, exactly one of size q.
 
-Every case constructs its host plane of order q from D, which need not
-be PG(2,q), and returns an EmbeddingWitness (host plane, point injection,
-deleted point set) that an independent verifier re-checks. All three
-constructions add one new point per partition of D, or of part of D,
-into disjoint lines (_partitions) to the lines in it; D's points keep
-their indices. In an affine plane these partitions are the q+1 parallel
-classes. In the full-pencils case D has as many lines as the host, so
+Every case builds its host plane of order q from D, which need not be
+PG(2,q), with complete_to_plane, and returns an EmbeddingWitness (host
+plane, point injection, deleted point set) that an independent verifier
+re-checks. The host adds one new point per partition into disjoint
+lines (_partitions) of D, and of D - u for a thin point u, to the lines
+in it; D's points keep their indices. Every case has q+1 partitions,
+the one count that is checked: the parallel classes of an affine plane,
+the pencils of the deleted points in the full-pencils case, and in the
+thin-point case one partition of D and q of D - u (below). The host
+line that D lacks, if any, holds exactly the points that then lie on
+only q lines, and the host adds it: the q+1 new points of an affine
+plane, u and the q new points of D - u's partitions in the thin-point
+case, and none in the full-pencils case.
+
+In the full-pencils case D has as many lines as the host, so
 every host line meets D, and the pencil of each deleted point is a
 partition. There are no others: the host lines of a partition F of k
 lines meet pairwise at deleted points, and hold k(q+1) - q^2 of them
@@ -39,10 +47,12 @@ the pencil of a deleted point, as each host line through it meets D.
 In the thin-point case let S be the size-q line through u, W the host
 line through u that D lacks, and v the deleted point on S's host line;
 the deleted set is (W - u) + v.
-  (a) A line of D that misses S has a host line meeting S's host line
-      at a deleted point, and v is the only one there. So the lines
-      missing S are the q lines through v other than S, of q-1 points
-      each, and they partition D - S in exactly one way.
+  (a) A partition of D covers u with S, as the other lines through u
+      have q+1 points and meet every other line. A line of D that misses S has a host line meeting
+      S's host line at a deleted point, and v is the only one there.
+      So the lines missing S are the q lines through v other than S,
+      of q-1 points each, and D has exactly one partition: the pencil
+      of v.
   (b) A line of D not through u has a host line meeting W at one point
       x != u. Let F be pairwise disjoint lines, none through u, that
       cover D - u. If a line of F passes through x but not v, a line of
@@ -51,22 +61,19 @@ the deleted set is (W - u) + v.
       Otherwise every line of F passes through v, and at most q lines
       of q-1 points cannot cover the q^2-1 points. So D - u has exactly
       q such partitions, the pencils of the points of W - u.
-The host adds v to S and the partition of (a), one point to each
-partition of (b), and the line W.
+The host adds v to the partition of (a), one point to each partition
+of (b), and the line W.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import (
     AssumptionViolation,
     ConstructionFailed,
     InternalCheckFailed,
     LemmaViolation,
-    NotAffinePlane,
     QTooSmall,
 )
 from .incidence import IncidenceStructure, _common, validate
@@ -89,7 +96,7 @@ class EmbeddingWitness:
     """Explicit embedding of a linear space into a projective plane.
 
     point_map[i] is the host point carrying point i; deleted lists the
-    q+1 host points outside the image. Every construction here keeps D's
+    q+1 host points outside the image. complete_to_plane keeps D's
     points at their indices, so its point map is the identity, and names
     the deleted points q^2..q^2+q; the verifier checks any map.
     """
@@ -164,10 +171,11 @@ def thin_points(D: IncidenceStructure, q: int) -> list[int]:
 def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass:
     """Three-way classification, optionally with an embedding witness.
 
-    Requires q >= 3 and the standing assumptions. Every case constructs
-    its host plane of order q from D (see the module docstring), for
-    every q, and the returned embedding is re-checked by the independent
-    witness verifier; pass embed=False to skip the embedding.
+    Requires q >= 3 and the standing assumptions. The case is read off
+    the projective lines and the thin point, and each case has its line
+    count checked. Then complete_to_plane builds the host plane of order
+    q from D in every case, for every q, and the independent witness
+    verifier re-checks it; pass embed=False to skip the embedding.
     """
     if q < 3:
         raise QTooSmall("classification requires q >= 3")
@@ -180,34 +188,26 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     line_count = len(D.blocks)
 
     if not full:
+        case = "affine_plane"
         if line_count != q * q + q:
             raise LemmaViolation(
                 f"affine case must have q^2+q lines, found {line_count}")
-        result = LinSpaceClass(q=q, case="affine_plane", line_count=line_count,
-                               projective_lines=full)
-        if embed:
-            result.embedding = complete_affine(D)
     elif thin:
+        case = "thin_point"
         if line_count != q * q + q:
             raise LemmaViolation(
                 f"thin-point case must have q^2+q lines, found {line_count}")
-        u = thin[0]
-        s_line = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
-        result = LinSpaceClass(q=q, case="thin_point", line_count=line_count,
-                               projective_lines=full,
-                               thin_point=u, thin_line=s_line)
-        if embed:
-            result.embedding = complete_thin_point(D, q, u)
     else:
+        case = "full_pencils"
         if line_count != q * q + q + 1:
             raise LemmaViolation(
                 f"full-pencils case must have q^2+q+1 lines, found {line_count}")
-        result = LinSpaceClass(q=q, case="full_pencils", line_count=line_count,
-                               projective_lines=full)
-        if embed:
-            result.embedding = embed_full_pencils(D, q)
-
-    if result.embedding is not None:
+    result = LinSpaceClass(q=q, case=case, line_count=line_count, projective_lines=full)
+    if thin:
+        u = result.thin_point = thin[0]
+        result.thin_line = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
+    if embed:
+        result.embedding = complete_to_plane(D, q)
         problems = embedding_errors(D, result.embedding, q)
         if problems:
             raise InternalCheckFailed("; ".join(problems))
@@ -241,97 +241,42 @@ def _partitions(D: IncidenceStructure, covered: int = 0,
     return found
 
 
-def _add_points(D: IncidenceStructure, q: int, parts, *extra) -> EmbeddingWitness:
-    """The witness whose host adds point n+k to the lines of the k-th
-    partition of D, plus the extra lines; D's points keep their indices.
-    A host that is not a projective plane of order q raises
-    ConstructionFailed."""
+def complete_to_plane(D: IncidenceStructure, q: int) -> EmbeddingWitness:
+    """Construct a projective plane of order q in which D embeds.
+
+    The host adds point q^2+k to the lines of the k-th partition into
+    lines of D, then of D minus its thin point if it has one, and the
+    line through the points that then lie on only q lines, if any (see
+    the module docstring). D's points keep their indices. A partition
+    count other than q+1, or a host that is not a projective plane of
+    order q, raises ConstructionFailed; a partition of D without a
+    size-q line (a deleted point with no tangent) raises LemmaViolation.
+    """
+    whole = _partitions(D)
+    parts = list(whole)
+    for u in thin_points(D, q):
+        parts += _partitions(D, 1 << u, ~D.pencil_masks[u])
+    if len(parts) != q + 1:
+        raise ConstructionFailed(f"{len(parts)} partitions into lines, expected {q + 1}")
     n = D.num_points
-    host_blocks = [list(block) for block in D.blocks]
+    blocks = [list(block) for block in D.blocks]
     for k, part in enumerate(parts):
         for j in part:
-            host_blocks[j].append(n + k)
-    host = IncidenceStructure(n + len(parts), host_blocks + list(extra))
-    if (host.num_points != q * q + q + 1 or any(len(b) != q + 1 for b in host.blocks)
-            or not validate(host).is_linear_space):
+            blocks[j].append(n + k)
+    degree = [len(through) for through in D.point_blocks] + [len(part) for part in parts]
+    extra = [p for p, d in enumerate(degree) if d == q]
+    if extra:
+        blocks.append(extra)
+    # sizes first: a one-point extra line is not a block
+    if (n != q * q or any(len(b) != q + 1 for b in blocks)
+            or not validate(host := IncidenceStructure(n + q + 1, blocks)).is_linear_space):
         raise ConstructionFailed("the rebuilt host is not a projective plane of order q")
-    return EmbeddingWitness(host=host, point_map=tuple(range(n)),
-                            deleted=tuple(range(n, host.num_points)))
-
-
-def complete_affine(D: IncidenceStructure) -> EmbeddingWitness:
-    """Projective completion of an affine plane of order q.
-
-    Adds one new point per parallel class (its partitions into lines)
-    and the line at infinity; the deleted set is the new line.
-    """
-    n = D.num_points
-    q = isqrt(n)
-    if q < 2 or q * q != n:
-        raise NotAffinePlane(f"{n} points is not a square of an order >= 2")
-    if not validate(D).is_linear_space:
-        raise NotAffinePlane("not a linear space")
-    profile = dict(sorted(Counter(map(len, D.blocks)).items()))
-    if profile != {q: q * q + q}:
-        raise NotAffinePlane(f"line profile {profile} != {{{q}: {q * q + q}}}")
-    classes = _partitions(D)
-    if len(classes) != q + 1:
-        raise NotAffinePlane(f"{len(classes)} parallel classes, expected {q + 1}")
-    return _add_points(D, q, classes, range(n, n + q + 1))
-
-
-def complete_thin_point(D: IncidenceStructure, q: int, u: int) -> EmbeddingWitness:
-    """Construct the host plane of the thin-point case.
-
-    S is the size-q line through u. The lines missing S partition the
-    points off S in one way, and the lines not through u partition the
-    points other than u in q ways (see the module docstring). The host
-    adds point q^2 to S and the first partition, points q^2+1..q^2+q to
-    the q others, and the line through u and those q points. Other
-    counts, or a host that is not a projective plane of order q, raise
-    ConstructionFailed. The point map is the identity.
-    """
-    if q < 3:
-        raise QTooSmall("thin-point completion requires q >= 3")
-    thin = thin_points(D, q)
-    if thin != [u]:
-        raise ValueError(f"point {u} is not the thin point of this space")
-    s_line = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
-    off_s = _partitions(D, D.block_masks[s_line], ~D.block_rows[s_line])
-    if len(off_s) != 1:
-        raise ConstructionFailed(
-            f"{len(off_s)} partitions of the points off the short line, expected 1")
-    off_u = _partitions(D, 1 << u, ~D.pencil_masks[u])
-    if len(off_u) != q:
-        raise ConstructionFailed(
-            f"{len(off_u)} partitions of the points other than {u}, expected {q}")
-    n = D.num_points
-    return _add_points(D, q, [off_s[0] + (s_line,), *off_u], [u, *range(n + 1, n + q + 1)])
-
-
-def embed_full_pencils(D: IncidenceStructure, q: int) -> EmbeddingWitness:
-    """Construct the host plane of the full-pencils case.
-
-    D's partitions into lines are the pencils of the q+1 deleted points
-    (see the module docstring); the host adds one new point per partition
-    to its lines. Any other partition count, or a host that is not a
-    projective plane of order q, raises ConstructionFailed. The tangent
-    property of every deleted point is then verified.
-    """
-    n = D.num_points
-    if (n != q * q or len(D.blocks) != q * q + q + 1
-            or any(len(t) != q + 1 for t in D.point_blocks)):
-        raise ValueError("input is not in the full-pencils case")
-    parts = _partitions(D)
-    if len(parts) != q + 1:
-        raise ConstructionFailed(
-            f"{len(parts)} partitions into lines, expected {q + 1}; input is invalid")
-    w = _add_points(D, q, parts)
     # tangent: every deleted point lies on the host line of a size-q line of D
-    for k, part in enumerate(parts):
+    for k, part in enumerate(whole):
         if all(len(D.blocks[j]) != q for j in part):
             raise LemmaViolation(f"deleted host point {n + k} has no tangent line")
-    return w
+    return EmbeddingWitness(host=host, point_map=tuple(range(n)),
+                            deleted=tuple(range(n, n + q + 1)))
 
 
 def embedding_errors(D: IncidenceStructure, w: EmbeddingWitness, q: int) -> list[str]:

@@ -1,6 +1,7 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations
 
 from unitals.algebra import field_create
@@ -8,7 +9,7 @@ from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError, MalformedStructure, NotAClique
 from unitals.incidence import IncidenceStructure
-from unitals.linspace import complete_affine
+from unitals.linspace import complete_to_plane
 
 
 class GraphTooLarge(GeometryError):
@@ -262,8 +263,8 @@ def hall_plane() -> IncidenceStructure:
     AG(2,9) on the points (x, y) = 9x + y is derived over the Baer
     subline of slopes GF(3) + {inf}: its lines are the 54 lines y = mx + b
     with m outside GF(3), and the 36 cosets of the four subspaces
-    c * GF(3)^2 (Baer subplanes through the subline). complete_affine then
-    adds the ten points at infinity, 81..90.
+    c * GF(3)^2 (Baer subplanes through the subline). complete_to_plane
+    then adds the ten points at infinity, 81..90.
     """
     F = field_create(9)
     mul, add = F.mul, F.add
@@ -273,7 +274,7 @@ def hall_plane() -> IncidenceStructure:
     lines |= {frozenset(9 * add[mul[c][a]][u] + add[mul[c][b]][v] for a in gf3 for b in gf3)
               for c in range(1, 9) for u in range(9) for v in range(9)}
     assert len(lines) == 90
-    return complete_affine(IncidenceStructure(81, lines)).host
+    return complete_to_plane(IncidenceStructure(81, lines), 9).host
 
 
 def fano_quadrangle(P):
@@ -346,3 +347,52 @@ def deleted_pencils(blocks, deleted, index) -> set:
     gone = set(deleted)
     return {frozenset(frozenset(index[p] for p in b if p not in gone)
                       for b in blocks if x in b) for x in gone}
+
+
+def one_point_swaps(S):
+    """Every structure made from S by swapping a point x of block a that
+    is not on block b with a point y of b that is not on a (a < b, x and
+    y ascending), from the block sets; swaps that repeat a block are
+    skipped. Every point keeps its pencil size and every block its size."""
+    lines = block_sets(S)
+    for a, b in combinations(range(len(lines)), 2):
+        A, B = lines[a], lines[b]
+        rest = [line for i, line in enumerate(lines) if i not in (a, b)]
+        for x in sorted(A - B):
+            for y in sorted(B - A):
+                blocks = {A - {x} | {y}, B - {y} | {x}, *rest}
+                if len(blocks) == len(lines):
+                    yield IncidenceStructure(S.num_points, blocks)
+
+
+def witness_oracle(D, w, q: int) -> bool:
+    """Whether w embeds D in its host, from the block sets alone: the
+    point map is an injection into the host points, each line of D lies
+    in exactly one host line, no two in the same one, and the deleted
+    points are the other q+1 host points, ascending. The reference for
+    linspace.embedding_errors."""
+    pm, points = w.point_map, range(w.host.num_points)
+    if len(pm) != D.num_points or not set(pm) <= set(points) or len(set(pm)) != len(pm):
+        return False
+    host_lines = block_sets(w.host)
+    images = []
+    for line in D.blocks:
+        image = {pm[x] for x in line}
+        holders = [i for i, h in enumerate(host_lines) if image <= h]
+        if len(holders) != 1:
+            return False
+        images.append(holders[0])
+    return (len(set(images)) == len(images) and len(w.deleted) == q + 1
+            and tuple(w.deleted) == tuple(sorted(set(points) - set(pm))))
+
+
+def witness_mutants(w):
+    """Every witness made from w by swapping two entries of its point map,
+    then every one made by dropping one of its deleted points."""
+    pm = w.point_map
+    for i, j in combinations(range(len(pm)), 2):
+        swapped = list(pm)
+        swapped[i], swapped[j] = pm[j], pm[i]
+        yield replace(w, point_map=tuple(swapped))
+    for k in range(len(w.deleted)):
+        yield replace(w, deleted=w.deleted[:k] + w.deleted[k + 1:])

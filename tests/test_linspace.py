@@ -1,8 +1,8 @@
 """Linear-space classification, completions, embeddings, 4-point special case."""
 
 import random
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 from support import (
@@ -11,15 +11,18 @@ from support import (
     fano_quadrangle,
     full_pencils_set,
     hall_plane,
+    linearity_oracle,
+    one_point_swaps,
     q2_special_classify,
     thin_point_set,
+    witness_mutants,
+    witness_oracle,
 )
 
 from unitals.errors import (
     AssumptionViolation,
     ConstructionFailed,
     LemmaViolation,
-    NotAffinePlane,
     QTooSmall,
 )
 from unitals.incidence import (
@@ -34,9 +37,7 @@ from unitals.linspace import (
     _partitions,
     check_assumptions,
     classify,
-    complete_affine,
-    complete_thin_point,
-    embed_full_pencils,
+    complete_to_plane,
     embedding_errors,
     projective_lines,
     thin_points,
@@ -160,29 +161,27 @@ def test_classify_without_embedding(pg4):
 # --- completions ---
 
 def test_complete_affine_ag3_hosts_pg3(pg3):
-    w = complete_affine(affine_plane(3))
+    w = complete_to_plane(affine_plane(3), 3)
     assert len(w.deleted) == 4
     assert embedding_errors(affine_plane(3), w, 3) == []
     assert isomorphic(w.host, pg3) is not None
 
 
 def test_complete_affine_ag2_hosts_fano():
-    w = complete_affine(affine_plane(2))
+    w = complete_to_plane(affine_plane(2), 2)
     assert isomorphic(w.host, projective_plane(2)) is not None
 
 
 def test_complete_affine_rejects_non_affine(pg3):
-    with pytest.raises(NotAffinePlane):
-        complete_affine(pg3)
-    with pytest.raises(NotAffinePlane) as info:
-        complete_affine(conic_deleted(pg3, 3))
-    assert str(info.value) == "line profile {2: 6, 3: 4, 4: 3} != {3: 12}"
+    # no two lines of a projective plane are disjoint
+    with pytest.raises(ConstructionFailed, match="^0 partitions into lines, expected 4$"):
+        complete_to_plane(pg3, 3)
 
 
 def test_complete_thin_point_roundtrip(pg3):
     D = line_swapped(pg3)
     u = thin_points(D, 3)[0]
-    w = complete_thin_point(D, 3, u)
+    w = complete_to_plane(D, 3)
     assert len(w.deleted) == 4
     assert embedding_errors(D, w, 3) == []
     assert isomorphic(w.host, pg3) is not None
@@ -203,7 +202,7 @@ def test_thin_point_line_size_profile(pg3):
     D = line_swapped(pg3)
     q = 3
     u = thin_points(D, q)[0]
-    w = complete_thin_point(D, q, u)
+    w = complete_to_plane(D, q)
     host_u = w.point_map[u]
     short = next(i for i in D.point_blocks[u] if len(D.blocks[i]) == q)
     (v,) = block_sets(w.host)[_host_line_of(D, w, short)] & set(w.deleted)
@@ -223,52 +222,73 @@ def test_thin_point_line_size_profile(pg3):
     assert elsewhere == [q] * (len(D.blocks) - 2 * q)
 
 
-def test_complete_thin_point_needs_a_thin_point(pg3):
-    with pytest.raises(ValueError):
-        complete_thin_point(affine_plane(3), 3, 0)
-
-
 def test_complete_thin_point_rejects_one_point_swaps(pg3):
-    # every swap of one point between two lines of the line-swapped
-    # PG(2,3) puncture that keeps u as the thin point: none embeds, and
-    # each fails a partition count or the host check
+    # every one-point swap of the line-swapped PG(2,3) puncture that keeps
+    # u as the thin point: none embeds, and each fails the partition count
+    # or the host check
     E = line_swapped(pg3)
     u = thin_points(E, 3)[0]
-    lines = block_sets(E)
-    reasons = set()
-    swaps = 0
-    for a, b in combinations(range(len(lines)), 2):
-        A, B = lines[a], lines[b]
-        rest = [line for i, line in enumerate(lines) if i not in (a, b)]
-        for x in A - B:
-            for y in B - A:
-                D = IncidenceStructure(9, [A - {x} | {y}, B - {y} | {x}, *rest])
-                try:
-                    if thin_points(D, 3) != [u]:
-                        continue
-                except LemmaViolation:
-                    continue
-                swaps += 1
-                with pytest.raises(ConstructionFailed) as info:
-                    complete_thin_point(D, 3, u)
-                reasons.add(str(info.value).split(", expected")[0].split(" ", 1)[1])
-    assert swaps == 264
-    assert reasons == {"partitions of the points off the short line",
-                       "partitions of the points other than 0",
-                       "rebuilt host is not a projective plane of order q"}
+    reasons = Counter()
+    for D in one_point_swaps(E):
+        try:
+            if thin_points(D, 3) != [u]:
+                continue
+        except LemmaViolation:
+            continue
+        with pytest.raises(ConstructionFailed) as info:
+            complete_to_plane(D, 3)
+        reasons[str(info.value).split(", expected")[0].split(" ", 1)[1]] += 1
+    assert sum(reasons.values()) == 264
+    assert reasons == {"partitions into lines": 228,
+                       "rebuilt host is not a projective plane of order q": 36}
 
 
 def test_complete_thin_point_rejects_two_partitions_off_the_short_line():
     # two point swaps away from the line-swapped PG(2,3) puncture: u = 0
     # keeps its pencil shape, but the lines missing S = {0, 3, 6} cover
-    # the other points in two ways, so no deleted point v can exist
+    # the other points in two ways, so no deleted point v can exist. With
+    # two partitions of D - u the count still comes to q+1 = 4, and the
+    # host check rejects the plane they build
     D = IncidenceStructure(9, [[0, 3, 4, 5], [0, 3, 6], [0, 6, 7, 8], [1, 2], [1, 3, 8],
                                [1, 4, 7], [1, 5, 6], [2, 3, 7], [2, 4, 6], [2, 5, 8],
                                [4, 8], [5, 7]])
     assert thin_points(D, 3) == [0]
+    assert (len(_partitions(D)), len(_partitions(D, 1, ~D.pencil_masks[0]))) == (2, 2)
     with pytest.raises(ConstructionFailed,
-                       match="2 partitions of the points off the short line, expected 1"):
-        complete_thin_point(D, 3, 0)
+                       match="^the rebuilt host is not a projective plane of order q$"):
+        complete_to_plane(D, 3)
+
+
+@pytest.mark.parametrize("make, outcomes", [
+    (line_deleted, {"partitions into lines": 216,
+                    "rebuilt host is not a projective plane of order q": 108}),
+    (line_swapped, {"partitions into lines": 228,
+                    "rebuilt host is not a projective plane of order q": 36,
+                    "LemmaViolation": 36}),
+    (lambda pg: conic_deleted(pg, 3), {"partitions into lines": 270,
+                                       "rebuilt host is not a projective plane of order q": 39,
+                                       "witness": 3}),
+], ids=["line", "line-swap", "conic"])
+def test_complete_to_plane_on_one_point_swaps(make, outcomes, pg3):
+    # every one-point swap of a PG(2,3) puncture keeps the line and pencil
+    # sizes; a witness comes back exactly for the swaps that the pair scan
+    # calls linear, and the verifier accepts it
+    seen = Counter()
+    for D in one_point_swaps(make(pg3)):
+        try:
+            w = complete_to_plane(D, 3)
+        except ConstructionFailed as e:
+            seen[str(e).split(", expected")[0].split(" ", 1)[-1]] += 1
+            assert not linearity_oracle(D)[1]
+            continue
+        except LemmaViolation:
+            seen["LemmaViolation"] += 1
+            assert not linearity_oracle(D)[1]
+            continue
+        seen["witness"] += 1
+        assert linearity_oracle(D)[1]
+        assert embedding_errors(D, w, 3) == []
+    assert seen == outcomes
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -284,7 +304,7 @@ def test_all_three_deletions_roundtrip(q, pg3, pg4):
 
 def test_embed_full_pencils_conic_roundtrip(pg3):
     D = conic_deleted(pg3, 3)
-    w = embed_full_pencils(D, 3)
+    w = complete_to_plane(D, 3)
     assert embedding_errors(D, w, 3) == []
     deleted = set(w.deleted)
     assert len(deleted) == 4
@@ -298,7 +318,7 @@ def test_embed_full_pencils_conic_roundtrip(pg3):
 
 def test_embed_full_pencils_arc_roundtrip_q4(pg4):
     D = conic_deleted(pg4, 4)
-    w = embed_full_pencils(D, 4)
+    w = complete_to_plane(D, 4)
     assert embedding_errors(D, w, 4) == []
     assert len(w.deleted) == 5
     for hb in block_sets(w.host):
@@ -316,7 +336,7 @@ def test_embed_full_pencils_exhausts_on_a_non_linear_space(pg3):
     assert (len(D.blocks), {len(t) for t in D.point_blocks}) == (13, {4})
     assert not check_assumptions(D, 3).is_linear_space
     with pytest.raises(ConstructionFailed, match="1 partitions into lines, expected 4"):
-        embed_full_pencils(D, 3)
+        complete_to_plane(D, 3)
 
 
 def test_embed_full_pencils_rejects_a_host_that_is_not_a_plane(pg3):
@@ -331,12 +351,7 @@ def test_embed_full_pencils_rejects_a_host_that_is_not_a_plane(pg3):
     assert (len(D.blocks), {len(t) for t in D.point_blocks}) == (13, {4})
     assert len(_partitions(D)) == 4
     with pytest.raises(ConstructionFailed, match="not a projective plane of order q"):
-        embed_full_pencils(D, 3)
-
-
-def test_embed_full_pencils_rejects_affine_input(pg3):
-    with pytest.raises(ValueError):
-        embed_full_pencils(line_deleted(pg3), 3)
+        complete_to_plane(D, 3)
 
 
 def _assert_rebuilds(plane, cut, q, case="full_pencils"):
@@ -417,7 +432,7 @@ def test_hall_plane_punctures_embed_in_the_hall_plane():
 
 def test_verifier_flags_tampered_witnesses(pg3):
     D = conic_deleted(pg3, 3)
-    w = embed_full_pencils(D, 3)
+    w = complete_to_plane(D, 3)
     broken = type(w)(host=w.host,
                      point_map=(w.point_map[1], w.point_map[0]) + w.point_map[2:],
                      deleted=w.deleted)
@@ -426,7 +441,7 @@ def test_verifier_flags_tampered_witnesses(pg3):
     assert embedding_errors(D, broken2, 3)
 
 
-# AG(2,2) in the Fano plane: complete_affine maps it by the identity,
+# AG(2,2) in the Fano plane: complete_to_plane maps it by the identity,
 # deletes (4, 5, 6), and host line 0 is (0, 1, 4)
 @pytest.mark.parametrize("point_map, deleted, problems", [
     ((0, 1, 2), (4, 5, 6), ["point_map length differs from point count"]),
@@ -443,9 +458,27 @@ def test_verifier_flags_tampered_witnesses(pg3):
         "not-complement", "short-deleted"])
 def test_verifier_names_each_rejection(point_map, deleted, problems):
     D = affine_plane(2)
-    w = complete_affine(D)
+    w = complete_to_plane(D, 2)
     assert (w.point_map, w.deleted, w.host.blocks[0]) == ((0, 1, 2, 3), (4, 5, 6), (0, 1, 4))
     assert embedding_errors(D, replace(w, point_map=point_map, deleted=deleted), 2) == problems
+
+
+@pytest.mark.parametrize("q, rejected", [(3, 3 * (36 + 4)), (4, 3 * (120 + 5))])
+def test_verifier_rejects_exactly_the_witness_mutants_the_oracle_rejects(q, rejected, pg3, pg4):
+    # every point-map transposition and every dropped deleted point of the
+    # three witnesses, judged by the set-based oracle and by the verifier:
+    # the punctures have no automorphism that swaps two points and fixes
+    # the rest, so the oracle rejects every mutant
+    pg = pg3 if q == 3 else pg4
+    seen = 0
+    for D in (line_deleted(pg), line_swapped(pg), conic_deleted(pg, q)):
+        w = classify(D, q).embedding
+        assert witness_oracle(D, w, q)
+        for mutant in witness_mutants(w):
+            bad = not witness_oracle(D, mutant, q)
+            assert bool(embedding_errors(D, mutant, q)) == bad
+            seen += bad
+    assert seen == rejected
 
 
 def test_lemma_checks_catch_corrupted_inputs():
