@@ -48,11 +48,11 @@ In the thin-point case let S be the size-q line through u, W the host
 line through u that D lacks, and v the deleted point on S's host line;
 the deleted set is (W - u) + v.
   (a) A partition of D covers u with S, as the other lines through u
-      have q+1 points and meet every other line. A line of D that misses S has a host line meeting
-      S's host line at a deleted point, and v is the only one there.
-      So the lines missing S are the q lines through v other than S,
-      of q-1 points each, and D has exactly one partition: the pencil
-      of v.
+      have q+1 points and meet every other line. A line of D that
+      misses S has a host line meeting S's host line at a deleted
+      point, and v is the only one there. So the lines missing S are
+      the q lines through v other than S, of q-1 points each, and D has
+      exactly one partition: the pencil of v.
   (b) A line of D not through u has a host line meeting W at one point
       x != u. Let F be pairwise disjoint lines, none through u, that
       cover D - u. If a line of F passes through x but not v, a line of
