@@ -220,11 +220,14 @@ def _ag3_minus_class():
 
 
 ORACLE_STRUCTURES = {
+    # a triangle of 2-point lines is a near pencil in three ways
+    "ag2": lambda: affine_plane(2),
     "h2": lambda: hermitian_unital(2),
     "h3": lambda: hermitian_unital(3),
     "h4": lambda: hermitian_unital(4),
     "ag3": lambda: affine_plane(3),
     "ag4": lambda: affine_plane(4),
+    "pg3-conic": lambda: puncture(projective_plane(3), conic_points(3)),
     "pg4-conic": lambda: puncture(projective_plane(4), conic_points(4)),
     "ag3-minus-class": _ag3_minus_class,
 }

@@ -28,6 +28,7 @@ from unitals.cli import main
 
 # input name -> CLI arguments that write it (after "-o <path>" is appended)
 INPUTS = {
+    "ag2": ("build", "ag", "--q", "2"),
     "h2": ("build", "hermitian", "--q", "2"),
     "h3": ("build", "hermitian", "--q", "3"),
     "h4": ("build", "hermitian", "--q", "4"),
@@ -83,6 +84,11 @@ def _cases():
     cases["cliques-classify-ag3-minus-class"] = ("cliques", "{ag3-minus-class}", "--classify")
     cases["cliques-classify-json-ag3-minus-class"] = ("cliques", "{ag3-minus-class}", "--classify",
                                                       "--json", "report.json")
+    # AG(2,2): each triangle is a near pencil in three ways; PG(2,3) minus
+    # the conic has 2-point lines
+    for name in ("ag2", "pg3-conic"):
+        cases[f"cliques-classify-json-{name}"] = ("cliques", f"{{{name}}}", "--classify",
+                                                  "--json", "report.json")
     cases["cliques-json-h3"] = ("cliques", "{h3}", "--json", "report.json")
     cases["isomorphic-h2-ag3"] = ("isomorphic", "{h2}", "{ag3}")
     return cases
@@ -119,7 +125,9 @@ GOLDEN = {
     "cliques-classify-h2": "cc3da1deb1192aa0608f0daeb6f67c7cf97928eed9c34c72e7e231feaa327a2c",
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",
     "cliques-classify-h4": "9a5cefdba2c446f746b5a758b4f0eb372b4046962549888a8e05ef114e192b42",
+    "cliques-classify-json-ag2": "fb21df0f841911ea0d8955f868704b3e3928088d32b0513c3756bf64211f6f78",
     "cliques-classify-json-ag3-minus-class": "33227b35261de108dc44241448a6056c032dde54e94c8f5db5ba2dc84b987844",
+    "cliques-classify-json-pg3-conic": "b544167e6b53a554cfa6eac7ebcb3eca01d2e3f27b2341bdc4f9228665ac9a3e",
     "cliques-json-h3": "8f62a5a80af7356da96ff73308a32080247469b9a5ca691a2647c970d5db3380",
     "cliques-max-h2": "b36296b1689a4053d7958d5b7a5ecd48549448807246c4e06b232c212574b165",
     "cliques-max-h3": "d9a1aae212d7e69ba7e80ad1c57180606ce33bb96695deb6fbfb72a553562e02",
