@@ -7,7 +7,9 @@ produce byte-identical files.
 Exit codes: 0 on success, 1 when a checked verification property fails
 (wrong parameters, configurations found against --expect-none, failed
 reconstruction or isomorphism), 2 on usage or I/O errors, 3 on any other
-exception (an internal error, such as running out of memory).
+exception (an internal error, such as running out of memory). A write
+to a stdout that its reader has closed is an I/O error: exit 2, with the
+one stderr line "error: [Errno 32] Broken pipe".
 
 The argument parser is built once per process, on the first main() call,
 and reused by later calls; each call parses its own argv.

@@ -21,6 +21,12 @@ In the confluence graph of a linear space, a clique is a set of mutually
 intersecting blocks. Each maximal clique is classified as a pencil (all
 blocks through one point, and all of them), a near pencil (a block L
 plus every join from a point p off L to the points of L), or neither.
+A near pencil of 3 or more blocks has no common point (it would lie on
+L, and every join would be the one block through it and p), and its
+apex p lies on every member but L, so on two of any three members. So
+the candidate apexes are the pairwise meets of the first three members,
+and p is kept when L is the one member off p, each point of L has one
+block through p, and those joins plus L are the clique.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .confluence import ConfluenceGraph
-from .errors import MalformedStructure, NotAClique
-from .incidence import IncidenceStructure, _bits, _near_pencil_mask
+from .errors import NotAClique
+from .incidence import IncidenceStructure, _bits
 
 
 class CliqueClassification(NamedTuple):
@@ -119,20 +125,18 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     Pencil requires equality with the full pencil of the common point, so
     a proper subset of a pencil is tagged "other". Near pencil requires
     exact equality with the near-pencil block set of some non-incident
-    (point, block) pair.
+    (point, block) pair; when several pairs give it, the lowest (L, p).
     """
     members = tuple(sorted(set(clique)))
     rows, masks = S.block_rows, S.block_masks
     # mask: the members; closed: the blocks meeting or equal to every
-    # member; prefix[k]: the points on members[:k] (-1, all of them, at 0)
+    # member; points: the points on every member
     mask, closed, points = 0, -1, -1
-    prefix = [points]
     for i in members:
         bit = 1 << i
         mask |= bit
         closed &= rows[i] | bit
         points &= masks[i]
-        prefix.append(points)
     if closed & mask != mask:
         for i in members:
             disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
@@ -140,32 +144,32 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
                 j = (disjoint & -disjoint).bit_length() - 1
                 raise NotAClique(f"blocks {i} and {j} are disjoint")
     size = len(members)
+    pencils = S.pencil_masks
 
     common = points if members else 0
     if common:
-        pencils = S.pencil_masks
         for p in _bits(common):
             if pencils[p] == mask:
                 return CliqueClassification(members, size, "pencil", point=p)
     elif size >= 3:
-        # A near pencil of 3 or more blocks has no common point c: c would
-        # lie on L, so every join from p would be the one block through p
-        # and c. The candidate apexes of member L are the points on every
-        # other member (a prefix AND times a suffix AND) and not on L.
-        apexes = [0] * size
-        suffix = -1
-        for k in range(size - 1, -1, -1):
-            block = masks[members[k]]
-            apexes[k] = prefix[k] & suffix & ~block
-            suffix &= block
-        for k, apex in enumerate(apexes):
-            if apex:
-                L = members[k]
-                for p in _bits(apex):
-                    try:
-                        if _near_pencil_mask(S, p, L) == mask:
-                            return CliqueClassification(
-                                members, size, "near_pencil", point=p, line=L)
-                    except MalformedStructure:
-                        continue  # join missing: not a linear space around (p, L)
+        # the apex lies on every member but L, so on two of the first three
+        a, b, c = (masks[i] for i in members[:3])
+        found = []
+        for p in _bits(a & b | a & c | b & c):
+            through = pencils[p]
+            near = mask & ~through  # the member off p: it must be L alone
+            if near & (near - 1):
+                continue
+            L = near.bit_length() - 1
+            for x in S.blocks[L]:
+                join = through & pencils[x]
+                if not join or join & (join - 1):
+                    break  # not one block joins p and x
+                near |= join
+            else:
+                if near == mask:
+                    found.append((L, p))
+        if found:
+            L, p = min(found)
+            return CliqueClassification(members, size, "near_pencil", point=p, line=L)
     return CliqueClassification(members, size, "other")

@@ -65,9 +65,6 @@ class ConfluenceGraph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in _bits(self.rows[i]) if i < j]
 

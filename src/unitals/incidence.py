@@ -23,11 +23,9 @@ two points are joined by the single block of their pencil masks' AND.
 These masks are the library's one set type for blocks and pencils: every
 membership, containment, meet and join question is answered with them.
 
-Near pencils: the mask of a block L plus every join from a point p off
-L to the points of L (_near_pencil_mask, which classify_clique compares
-against). Configuration search: the 4-line/6-point configuration in
-which every configuration line carries exactly 3 of the points and every
-point lies on exactly 2 of the lines.
+Configuration search: the 4-line/6-point configuration in which every
+configuration line carries exactly 3 of the points and every point lies
+on exactly 2 of the lines.
 
 Serialization: the ``incidence-v1`` JSON format (see read_json, and
 format_json, the one writer, whose text the CLI emits).
@@ -325,23 +323,7 @@ def hermitian_unital(q: int) -> IncidenceStructure:
     return unital
 
 
-# --- near pencils, configuration search ---
-
-def _near_pencil_mask(S: IncidenceStructure, p: int, L: int) -> int:
-    """Block mask of the near pencil of (p, L), p off L: bit L and the bit
-    of the unique block joining p to each point of L. Raises
-    MalformedStructure when some join is missing or not unique."""
-    pm = S.pencil_masks
-    through_p = pm[p]
-    out = 1 << L
-    for x in S.blocks[L]:
-        join = through_p & pm[x]
-        if not join or join & (join - 1):
-            raise MalformedStructure(
-                f"no unique block joins {p} and {x}; not a linear space")
-        out |= join
-    return out
-
+# --- configuration search ---
 
 def find_onan(S: IncidenceStructure, limit: int = 0) -> list[OnanConfiguration]:
     """All 4-block subsets, pairwise intersecting, with 6 distinct meets.

@@ -146,28 +146,35 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
 
 
 def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
-                allowed: Sequence[int], hosts: Sequence[int]) -> list[int] | None:
-    """Injective point map of S1 into S2 that sends every block into an S2
-    block of its own, or None if there is none.
+                colors1: Sequence[int], colors2: Sequence[int]) -> list[int] | None:
+    """Point bijection of S1 onto S2 that keeps colors and sends every
+    block onto an S2 block, or None if there is none. The structures have
+    equal point and block counts.
 
-    allowed[p] is the mask of S2 points that point p may take; hosts[b]
-    is the start mask of S2 blocks that block b may land on. Each block's
-    hosts are ANDed with the pencils of its assigned images; a block with
-    one host claims it, and no other block may map into a claimed host.
-    A point's candidates are its allowed, unused S2 points on the host of
-    each claimed block through it; a candidate on no host of another
-    touched block is rejected on assignment, as that block's hosts AND
-    to 0. Backtracking is deterministic: most claimed, then most touched
-    point first, lowest index on ties; candidates ascending. The pick
-    scores are kept up to date on assign and undo, never recomputed.
+    Each block's hosts start as the S2 blocks of its size and are ANDed
+    with the pencils of its assigned images; a block is claimed when one
+    host is left. Two blocks may claim one host: no bijection completes
+    that branch, as it would give both blocks one image. A point's
+    candidates are its unused S2 points of its color on the host of each
+    claimed block through it; a candidate on no host of another touched
+    block is rejected on assignment, as that block's hosts AND to 0.
+    Backtracking is deterministic: most claimed, then most touched point
+    first, lowest index on ties; candidates ascending. The pick scores
+    are kept up to date on assign and undo, never recomputed.
     """
     n = S1.num_points
     pb1, blocks1 = S1.point_blocks, S1.blocks
     pm2, bm2 = S2.pencil_masks, S2.block_masks
+    of_color: dict[int, int] = {}  # S2 points of each color
+    for x, c in enumerate(colors2):
+        of_color[c] = of_color.get(c, 0) | 1 << x
+    of_size: dict[int, int] = {}  # S2 blocks of each size
+    for i, block in enumerate(S2.blocks):
+        of_size[len(block)] = of_size.get(len(block), 0) | 1 << i
+    hosts = [of_size[len(b)] for b in blocks1]
     sigma: list[int | None] = [None] * n
     assigned_in = [0] * len(blocks1)  # assigned points per S1 block
-    hosts = list(hosts)
-    used = claimed = 0                   # S2 points taken; S2 blocks claimed
+    used = 0                          # S2 points taken
     # a block weighs 0 untouched, 1 touched and wide claimed, so a point's
     # score, the sum over the blocks through it, orders like (claimed
     # blocks, touched blocks) through it; an assigned point's score is
@@ -177,10 +184,11 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     score = [0] * n
 
     def try_assign(p: int, h: int):
-        """Apply sigma[p] = h; return its undo record, or None on conflict."""
-        nonlocal used, claimed
+        """Apply sigma[p] = h; return its undo record, or None when a block
+        through p is left without a host."""
+        nonlocal used
         gains: list = []  # (points of a block, gain of its weight)
-        record = [(b, hosts[b]) for b in pb1[p]], claimed, gains
+        record = [(b, hosts[b]) for b in pb1[p]], gains
         sigma[p] = h
         used |= 1 << h
         for b in pb1[p]:
@@ -188,15 +196,13 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         for b, old in record[0]:
             new = hosts[b] = old & pm2[h]
             first = assigned_in[b] == 1
+            if not new:
+                undo(p, h, record)
+                return None
             if new & (new - 1):
                 if first:
                     gains.append((blocks1[b], 1))
-            # claim a host that is now the block's only one
-            elif new != old or first:
-                if not new or new & claimed:  # no host left, or another block's
-                    undo(p, h, record)
-                    return None
-                claimed |= new
+            elif new != old or first:  # claimed just now
                 gains.append((blocks1[b], wide if first else wide - 1))
         rescore(p, gains, 1)
         return record
@@ -211,9 +217,8 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
                 score[x] += gain
 
     def undo(p: int, h: int, record) -> None:
-        nonlocal used, claimed
-        saved, claimed, _ = record
-        for b, old in saved:
+        nonlocal used
+        for b, old in record[0]:
             hosts[b] = old
             assigned_in[b] -= 1
         sigma[p] = None
@@ -225,7 +230,7 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         return None if p is None or score[p] < 0 else p
 
     def candidates(p: int):
-        mask = allowed[p] & ~used
+        mask = of_color[colors1[p]] & ~used
         for b in pb1[p]:
             h = hosts[b]
             if assigned_in[b] and not h & (h - 1):  # claimed
@@ -243,7 +248,7 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         frame = stack[-1]
         p, remaining, applied = frame
         if applied is not None:  # the deeper search failed
-            rescore(p, applied[1][2], -1)
+            rescore(p, applied[1][1], -1)
             undo(p, *applied)
             frame[2] = None
         for h in remaining:
@@ -294,14 +299,6 @@ def _refined_colors(S1: IncidenceStructure,
                 for p in range(n)]
 
 
-def _masks_by(keys) -> dict:
-    """Map each key to the bitset of the positions that carry it."""
-    out: dict = {}
-    for i, key in enumerate(keys):
-        out[key] = out.get(key, 0) | 1 << i
-    return out
-
-
 def isomorphic(S1: IncidenceStructure,
                S2: IncidenceStructure) -> list[int] | None:
     """Point bijection carrying blocks onto blocks, or None.
@@ -320,12 +317,7 @@ def isomorphic(S1: IncidenceStructure,
     colors = _refined_colors(S1, S2)
     if colors is None:
         return None
-    inv1, inv2 = colors
-
-    of_size = _masks_by(map(len, S2.blocks))   # S2 blocks of each size
-    of_color = _masks_by(inv2)                 # S2 points of each color
-    result = _map_points(S1, S2, [of_color[c] for c in inv1],
-                         [of_size[len(b)] for b in S1.blocks])
+    result = _map_points(S1, S2, *colors)
     if result is None:
         return None
     # safety net; full-image compatibility already forces this

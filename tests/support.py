@@ -41,11 +41,11 @@ def subset_filter_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
     out = []
     for mask in range(1, 1 << n):
         members = [v for v in range(n) if mask >> v & 1]
-        if any(not G.adjacent(a, b) for i, a in enumerate(members)
+        if any(not G.rows[a] >> b & 1 for i, a in enumerate(members)
                for b in members[i + 1:]):
             continue
         inside = set(members)
-        if any(all(G.adjacent(v, m) for m in members)
+        if any(all(G.rows[v] >> m & 1 for m in members)
                for v in range(n) if v not in inside):
             continue
         out.append(tuple(members))
@@ -209,8 +209,8 @@ def classify_clique_oracle(S, clique) -> CliqueClassification:
 
 def near_pencil(S, p: int, L: int) -> tuple[int, ...]:
     """Block L plus the block joining p to each point of L, for p off L,
-    found from the block tuples alone: the reference the library's
-    near-pencil mask is checked against. Raises ValueError when p lies on
+    found from the block tuples alone: the reference classify_clique's
+    near-pencil test is checked against. Raises ValueError when p lies on
     L, and MalformedStructure when some join is missing or not unique."""
     blocks = S.blocks
     if p in blocks[L]:

@@ -135,10 +135,10 @@ def test_c06_order2_exception(cg2):
     for v in range(12):
         if v in seen:
             continue
-        part = {v} | {w for w in range(12) if complement.adjacent(v, w)}
+        part = {v} | {w for w in range(12) if complement.rows[v] >> w & 1}
         assert len(part) == 3
         for a, b in combinations(sorted(part), 2):
-            assert complement.adjacent(a, b)
+            assert complement.rows[a] >> b & 1
         seen |= part
         parts.append(part)
     assert len(parts) == 4

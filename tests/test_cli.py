@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism, file formats."""
 
+import io
 import json
 
 import pytest
@@ -430,6 +431,23 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys, exc):
     assert run("srg", "unused.json") == 3
     err = capsys.readouterr().err
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as under `unitals ... | head -c 1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["build", "onan"])
+def test_closed_stdout_is_an_io_error(tmp_path, monkeypatch, capsys, command):
+    fano = tmp_path / "pg2.json"
+    assert run("build", "pg", "--q", "2", "-o", str(fano)) == 0
+    argv = {"build": ("build", "ag", "--q", "2"), "onan": ("onan", str(fano))}[command]
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_bad_json_is_usage_error(tmp_path):

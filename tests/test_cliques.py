@@ -1,5 +1,8 @@
 """Clique enumeration, the naive oracle, classification, star property."""
 
+import random
+import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -260,6 +263,45 @@ def test_classify_skips_an_apex_with_a_missing_join(num_points, blocks, clique,
     assert result == classify_clique_oracle(S, clique)
     for maximal in enumerate_maximal_cliques(build_confluence(S)):
         assert classify_clique(S, maximal) == classify_clique_oracle(S, maximal)
+
+
+def _random_structure(rng):
+    """A planted near pencil (block L of 2 or 3 points, and 2-point joins
+    from an apex p) plus 2 to 10 random blocks of 2 to 4 points, on 4 to 8
+    points; seldom a linear space."""
+    n = rng.randint(4, 8)
+    p, *L = rng.sample(range(n), rng.randint(3, 4))
+    blocks = {tuple(L), *((p, x) for x in L)}
+    for _ in range(rng.randint(2, 10)):
+        blocks.add(tuple(rng.sample(range(n), rng.choice((2, 2, 3, 4)))))
+    return IncidenceStructure(n, {tuple(sorted(b)) for b in blocks})
+
+
+def _outcome(classify, S, clique):
+    try:
+        return classify(S, clique)
+    except NotAClique as exc:
+        return f"NotAClique: {exc}"
+
+
+def test_classify_agrees_with_oracle_on_random_structures():
+    # budget: 2 s for 300 structures (about 0.1 s when measured)
+    rng = random.Random("classify-sweep")
+    start = time.perf_counter()
+    seen = Counter()
+    for k in range(300):
+        S = _random_structure(rng)
+        n = len(S.blocks)
+        subsets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(10)]
+        for clique in enumerate_maximal_cliques(build_confluence(S)) + subsets:
+            fast = _outcome(classify_clique, S, clique)
+            assert fast == _outcome(classify_clique_oracle, S, clique), (k, clique)
+            seen["NotAClique" if isinstance(fast, str) else (fast.tag, fast.size > 3)] += 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
+    # the sweep reaches every branch of the tagger
+    assert set(seen) == {"NotAClique", *((tag, big) for tag in ("pencil", "near_pencil", "other")
+                                          for big in (False, True))}, seen
 
 
 def test_classify_rejects_non_clique_like_the_oracle(h3):

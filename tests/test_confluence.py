@@ -75,13 +75,13 @@ def test_unital2_graph_is_complete_multipartite(cg2):
             if u in comp_set:
                 continue
             comp_set.add(u)
-            stack.extend(w for w in range(12) if comp.adjacent(u, w))
+            stack.extend(w for w in range(12) if comp.rows[u] >> w & 1)
         seen |= comp_set
         components.append(comp_set)
     assert len(components) == 4
     for c in components:
         assert len(c) == 3
-        assert all(comp.adjacent(a, b) for a, b in combinations(sorted(c), 2))
+        assert all(comp.rows[a] >> b & 1 for a, b in combinations(sorted(c), 2))
 
 
 def test_unital3_graph_regularity(cg3):
@@ -96,9 +96,9 @@ def _brute_lambda_mu(G):
     for i, j in combinations(range(G.n), 2):
         common = 0
         for v in range(G.n):
-            if v not in (i, j) and G.adjacent(i, v) and G.adjacent(j, v):
+            if v not in (i, j) and G.rows[i] >> v & 1 and G.rows[j] >> v & 1:
                 common += 1
-        (lams if G.adjacent(i, j) else mus).add(common)
+        (lams if G.rows[i] >> j & 1 else mus).add(common)
     return lams, mus
 
 
