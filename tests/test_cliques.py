@@ -2,7 +2,6 @@
 
 import random
 import time
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -288,7 +287,7 @@ def test_classify_agrees_with_oracle_on_random_structures():
     # budget: 2 s for 300 structures (about 0.1 s when measured)
     rng = random.Random("classify-sweep")
     start = time.perf_counter()
-    seen = Counter()
+    seen = set()
     for k in range(300):
         S = _random_structure(rng)
         n = len(S.blocks)
@@ -296,12 +295,12 @@ def test_classify_agrees_with_oracle_on_random_structures():
         for clique in enumerate_maximal_cliques(build_confluence(S)) + subsets:
             fast = _outcome(classify_clique, S, clique)
             assert fast == _outcome(classify_clique_oracle, S, clique), (k, clique)
-            seen["NotAClique" if isinstance(fast, str) else (fast.tag, fast.size > 3)] += 1
+            seen.add("NotAClique" if isinstance(fast, str) else (fast.tag, fast.size > 3))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
     # the sweep reaches every branch of the tagger
-    assert set(seen) == {"NotAClique", *((tag, big) for tag in ("pencil", "near_pencil", "other")
-                                          for big in (False, True))}, seen
+    assert seen == {"NotAClique", *((tag, big) for tag in ("pencil", "near_pencil", "other")
+                                      for big in (False, True))}, seen
 
 
 def test_classify_rejects_non_clique_like_the_oracle(h3):
