@@ -16,13 +16,18 @@ clique, hence itself a pencil, and mapping point to point recovers the
 point bijection.
 
 `isomorphic` is an independent incidence-structure isomorphism tester
-(refinement plus backtracking) used to verify these claims; it never
-consults clique or graph machinery.
+used to verify these claims; it never consults clique or graph
+machinery. It colors the points of both structures by refinement, which
+splits cells only against the cells that just split (so a structure
+whose first coloring has one cell is done at once), then backtracks
+within the color classes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .cliques import enumerate_maximal_cliques
@@ -270,33 +275,102 @@ def _refined_colors(S1: IncidenceStructure,
                     S2: IncidenceStructure) -> tuple[list[int], list[int]] | None:
     """Jointly refine point colors of both structures, from the blocks alone.
 
-    Start from the sorted sizes of the blocks through each point, then
-    repeatedly extend each point's color by the sorted colors of its block
-    mates, read off the blocks through it (a point sharing k blocks with it
-    counts k times), renaming colors through a palette shared by both
-    structures. Returns None as soon as the color multisets diverge (the
-    structures cannot be isomorphic; the first round already compares the
-    block sizes); otherwise the stable coloring.
+    A color is a cell: the points of that color in S1 and in S2. Colors
+    start as the sorted sizes of the blocks through each point (when all
+    blocks have one size, the point's degree, which fixes them), numbered
+    through a palette shared by both structures. The refinement then
+    splits cells by splitters (McKay 1981) until no splitter is left.
+    Popping a splitter C, every point x counts its incidences with C, by
+    walking each y in C, each block through y and each point on that
+    block (a point sharing k blocks with y counts k times, itself once
+    per block through it); every cell holding points of different
+    counts splits into one piece per count, uncounted points having
+    count 0. A cell still waiting to split others queues all its pieces;
+    any other cell queues all but its largest, as a point's count
+    against that piece is its count against the old cell, which all the
+    cell's points share, less its counts against the other pieces.
+
+    The first colors are already stable against the whole point set: a
+    point's incidences with it number the sum of its block sizes, which
+    its first color fixes. So every first cell but the largest is
+    queued, and a one-cell start is finished. The result is the coarsest
+    stable coloring finer than the first, the fixed point of re-keying
+    every point by its color and the multiset of its block mates'
+    colors, round after round.
+
+    Returns None as soon as a cell holds unequally many points of the two
+    structures, or splits into pieces that differ between them (the
+    structures cannot be isomorphic; the first colors already compare
+    the block sizes); otherwise the stable coloring.
     """
-    n = S1.num_points
-    pb1, pb2 = S1.point_blocks, S2.point_blocks
-    bl1, bl2 = S1.blocks, S2.blocks
-    key1 = [tuple(sorted(len(bl1[i]) for i in pb1[p])) for p in range(n)]
-    key2 = [tuple(sorted(len(bl2[i]) for i in pb2[p])) for p in range(n)]
-    col1 = col2 = None
-    while True:
-        palette = {k: i for i, k in enumerate(sorted(set(key1) | set(key2)))}
-        new1 = [palette[k] for k in key1]
-        new2 = [palette[k] for k in key2]
-        if sorted(new1) != sorted(new2):
+    sides = (S1, S2)
+    block_sizes = [list(map(len, S.blocks)) for S in sides]
+    if len(set(block_sizes[0]) | set(block_sizes[1])) < 2:
+        keys = [list(map(len, S.point_blocks)) for S in sides]
+    else:
+        keys = [[tuple(sorted(map(size.__getitem__, pb))) for pb in S.point_blocks]
+                for S, size in zip(sides, block_sizes)]
+    palette = {k: c for c, k in enumerate(sorted(set(keys[0]) | set(keys[1])))}
+    colors = [[palette[k] for k in side_keys] for side_keys in keys]
+    counts = Counter(colors[0])
+    if counts != Counter(colors[1]):
+        return None
+    # points of each cell in either structure
+    sizes = [counts[c] for c in range(len(palette))]
+    largest = max(range(len(sizes)), key=sizes.__getitem__, default=None)
+    queued = [c != largest for c in range(len(sizes))]
+    queue = [c for c in range(len(sizes)) if queued[c]]
+    if not queue:
+        return colors[0], colors[1]
+    cells: list[list[set[int]]] = [[set() for _ in sizes] for _ in sides]
+    for side_cells, side_colors in zip(cells, colors):
+        for x, c in enumerate(side_colors):
+            side_cells[c].add(x)
+    while queue:
+        splitter = queue.pop()
+        queued[splitter] = False
+        # per structure: touched cell -> count -> its points with that count
+        touched: list[dict[int, dict[int, list[int]]]] = []
+        for S, side_cells, side_colors in zip(sides, cells, colors):
+            incidences = Counter(chain.from_iterable(map(
+                S.blocks.__getitem__,
+                chain.from_iterable(map(S.point_blocks.__getitem__,
+                                        side_cells[splitter])))))
+            by_cell: dict[int, dict[int, list[int]]] = {}
+            for x, k in incidences.items():
+                by_cell.setdefault(side_colors[x], {}).setdefault(k, []).append(x)
+            touched.append(by_cell)
+        if touched[0].keys() != touched[1].keys():
             return None
-        if new1 == col1 and new2 == col2:
-            return col1, col2
-        col1, col2 = new1, new2
-        key1 = [(col1[p], tuple(sorted(col1[x] for i in pb1[p] for x in bl1[i])))
-                for p in range(n)]
-        key2 = [(col2[p], tuple(sorted(col2[x] for i in pb2[p] for x in bl2[i])))
-                for p in range(n)]
+        for c, pieces1 in touched[0].items():
+            pieces2 = touched[1][c]
+            piece_sizes = {k: len(v) for k, v in pieces1.items()}
+            if piece_sizes != {k: len(v) for k, v in pieces2.items()}:
+                return None
+            rest = sizes[c] - sum(piece_sizes.values())  # points of count 0
+            if not rest and len(piece_sizes) == 1:
+                continue
+            # the count-0 points keep the cell's color, or else the lowest count
+            moved = sorted(piece_sizes)[0 if rest else 1:]
+            pieces = [c]
+            for k in moved:
+                pieces.append(len(sizes))
+                for side_cells, side_colors, side_pieces in zip(cells, colors,
+                                                                (pieces1, pieces2)):
+                    piece = side_pieces[k]
+                    side_cells[c].difference_update(piece)
+                    side_cells.append(set(piece))
+                    for x in piece:
+                        side_colors[x] = pieces[-1]
+                sizes.append(piece_sizes[k])
+                sizes[c] -= piece_sizes[k]
+                queued.append(False)
+            skip = None if queued[c] else max(pieces, key=sizes.__getitem__)
+            for piece in pieces:
+                if piece != skip and not queued[piece]:
+                    queued[piece] = True
+                    queue.append(piece)
+    return colors[0], colors[1]
 
 
 def isomorphic(S1: IncidenceStructure,

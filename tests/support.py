@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -32,6 +33,21 @@ def sweep_graph(i: int) -> ConfluenceGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if next(stream) % 100 < density]
     return ConfluenceGraph.from_edges(n, edges)
+
+
+def double_edge_swap(G: ConfluenceGraph, seed: int) -> ConfluenceGraph:
+    """G with one seeded double edge swap: edges ab and cd on four distinct
+    vertices, with ad and cb absent, become ad and cb. Every degree stays.
+    Raises ValueError when 1,000 sampled edge pairs give no swap."""
+    rng = random.Random(seed)
+    edges = G.edges()
+    for _ in range(1000):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if (len({a, b, c, d}) == 4
+                and not G.rows[a] >> d & 1 and not G.rows[c] >> b & 1):
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            return ConfluenceGraph.from_edges(G.n, kept + [(a, d), (c, b)])
+    raise ValueError("no double edge swap found")
 
 
 def subset_filter_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
@@ -152,6 +168,35 @@ def pair_count_refinement(S1, S2):
         key1 = [(col1[p], tuple(sorted((col1[x], c) for x, c in cc1[p].items())))
                 for p in range(n)]
         key2 = [(col2[p], tuple(sorted((col2[x], c) for x, c in cc2[p].items())))
+                for p in range(n)]
+
+
+def round_refinement(S1, S2):
+    """Joint color refinement in rounds: every round re-keys every point by
+    its color and the sorted colors of its block mates, read off the blocks
+    through it (a point sharing k blocks with it counts k times), renaming
+    colors through a palette shared by both structures. The reference for
+    the splitter refinement of reconstruct._refined_colors, on any
+    structure. Returns None as soon as the color multisets diverge, else
+    the stable colors."""
+    n = S1.num_points
+    pb1, pb2 = S1.point_blocks, S2.point_blocks
+    bl1, bl2 = S1.blocks, S2.blocks
+    key1 = [tuple(sorted(len(bl1[i]) for i in pb1[p])) for p in range(n)]
+    key2 = [tuple(sorted(len(bl2[i]) for i in pb2[p])) for p in range(n)]
+    col1 = col2 = None
+    while True:
+        palette = {k: i for i, k in enumerate(sorted(set(key1) | set(key2)))}
+        new1 = [palette[k] for k in key1]
+        new2 = [palette[k] for k in key2]
+        if sorted(new1) != sorted(new2):
+            return None
+        if new1 == col1 and new2 == col2:
+            return col1, col2
+        col1, col2 = new1, new2
+        key1 = [(col1[p], tuple(sorted(col1[x] for i in pb1[p] for x in bl1[i])))
+                for p in range(n)]
+        key2 = [(col2[p], tuple(sorted(col2[x] for i in pb2[p] for x in bl2[i])))
                 for p in range(n)]
 
 

@@ -4,9 +4,11 @@ import io
 import json
 
 import pytest
+from support import double_edge_swap
 
 from unitals import cli
 from unitals.cli import main
+from unitals.confluence import format_dimacs, read_dimacs
 from unitals.incidence import (
     IncidenceStructure,
     conic_points,
@@ -319,6 +321,18 @@ def test_reconstruct_rejects_non_unital_graph(tmp_path):
     bad = tmp_path / "bad.dimacs"
     bad.write_text("p edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n")
     assert run("reconstruct", str(bad)) == 1
+
+
+def test_reconstruct_exits_1_on_a_swapped_unital_graph(tmp_path, capsys, h3_json):
+    dimacs = tmp_path / "h3.dimacs"
+    assert run("graph", str(h3_json), "-o", str(dimacs)) == 0
+    swapped = tmp_path / "swapped.dimacs"
+    swapped.write_text(format_dimacs(double_edge_swap(read_dimacs(dimacs), 0)))
+    capsys.readouterr()
+    assert run("reconstruct", str(swapped)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "26 maximal cliques of size 9, expected 28" in err
 
 
 @pytest.mark.parametrize("header", ["p edge -5 0", "p edge 3 -1"])

@@ -3,19 +3,22 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from support import (
     block_sets,
     brute_force_isomorphic,
+    double_edge_swap,
     joint_partition,
     linearity_oracle,
     pair_count_refinement,
+    round_refinement,
 )
 
 from unitals.cliques import enumerate_maximal_cliques
 from unitals.confluence import ConfluenceGraph, build_confluence
-from unitals.errors import NotAGraphIsomorphism, NotAUnitalGraph
+from unitals.errors import MalformedStructure, NotAGraphIsomorphism, NotAUnitalGraph
 from unitals.incidence import (
     IncidenceStructure,
     affine_plane,
@@ -204,7 +207,7 @@ def _partial_linear_pairs():
     singles = {f"h{q}": hermitian_unital(q) for q in (2, 3, 4)}
     singles.update({f"pg{q}": projective_plane(q) for q in (2, 3, 4, 5)})
     singles.update({f"ag{q}": affine_plane(q) for q in (3, 4)})
-    singles["path300"] = IncidenceStructure(300, [(i, i + 1) for i in range(299)])
+    singles["path300"] = _path(300)
     singles.update({f"pls-{seed}": _random_partial_linear_space(seed)
                     for seed in range(40)})
     out = [(name, S, _seeded_relabelling(S, 7)) for name, S in singles.items()]
@@ -236,6 +239,97 @@ def _random_structure(rng, n, sizes):
                 blocks.add(block)
                 break
     return IncidenceStructure(n, blocks)
+
+
+def _path(n):
+    return IncidenceStructure(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _star(n):
+    return IncidenceStructure(n, [(0, i) for i in range(1, n)])
+
+
+def _one_block_mutant(S, seed):
+    """S with one point of one block, chosen by the seed, swapped for a
+    point off that block; None when the swap repeats a block or no point
+    is off it."""
+    rng = random.Random(seed)
+    blocks = [list(b) for b in S.blocks]
+    block = rng.choice(blocks)
+    off = [x for x in range(S.num_points) if x not in block]
+    if not off:
+        return None
+    block[rng.randrange(len(block))] = rng.choice(off)
+    try:
+        return IncidenceStructure(S.num_points, blocks)
+    except MalformedStructure:
+        return None
+
+
+def _refinement_pairs():
+    """(name, S1, S2) for the round oracle: the partial linear pairs;
+    seeded random structures with a pair on 2+ blocks, each against a
+    relabelling and against another structure of its block sizes; paths
+    and stars of 0-60 points against relabellings and one another; seeded
+    sparse graphs (trees plus chords, blocks of 2) against a relabelling
+    and against a double edge swap, which keeps every degree; and seeded
+    one-block mutants of the partial linear spaces."""
+    out = _partial_linear_pairs()
+    rng = random.Random(2025)
+    multi = 0
+    while multi < 60:
+        n = rng.randint(4, 14)
+        S = _random_structure(rng, n, [rng.randint(2, min(5, n))
+                                       for _ in range(rng.randint(n, 3 * n))])
+        if linearity_oracle(S)[0]:
+            continue
+        other = _random_structure(rng, n, [len(b) for b in S.blocks])
+        out += [(f"multi{multi}-relabel", S, _seeded_relabelling(S, multi)),
+                (f"multi{multi}-other", S, other)]
+        multi += 1
+    for n in range(61):
+        path, star = _path(n), _star(n)
+        out += [(f"path{n}", path, _seeded_relabelling(path, n)),
+                (f"star{n}", star, _seeded_relabelling(star, n)),
+                (f"path{n}-star{n}", path, star)]
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = rng.randint(6, 40)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 3)}
+        graph = ConfluenceGraph.from_edges(n, edges)
+        swapped = IncidenceStructure(n, double_edge_swap(graph, seed).edges())
+        sparse = IncidenceStructure(n, edges)
+        out += [(f"sparse{seed}", sparse, _seeded_relabelling(sparse, seed)),
+                (f"sparse{seed}-swap", sparse, swapped)]
+    for name, S, _ in _partial_linear_pairs():
+        for seed in range(3):
+            mutant = _one_block_mutant(S, seed)
+            if mutant is not None:
+                out.append((f"{name}-mutant{seed}", S, mutant))
+    return out
+
+
+def test_refinement_matches_round_oracle():
+    # the splitter refinement must reach the partition, and the verdict,
+    # of re-keying every point by its block mates round after round
+    verdicts = set()
+    for name, S1, S2 in _refinement_pairs():
+        expected = joint_partition(round_refinement(S1, S2))
+        assert joint_partition(_refined_colors(S1, S2)) == expected, name
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def test_isomorphic_on_a_long_path_is_fast():
+    # refinement peels a path from its ends one cell split at a time, each
+    # split counting only the incidences of the cell that just split; a
+    # refinement that re-keys every point in every round needs a round per
+    # split, quadratic work, and well over this budget
+    path = _path(2400)
+    start = time.perf_counter()
+    assert isomorphic(path, path) == list(range(2400))
+    assert time.perf_counter() - start < 4.0
 
 
 def test_isomorphic_agrees_with_brute_force_on_small_structures():
@@ -320,6 +414,35 @@ def test_reconstruct_q2_needs_the_unital_graph():
 def test_reconstruct_rejects_wrong_order():
     with pytest.raises(NotAUnitalGraph):
         reconstruct_unital(ConfluenceGraph(50, [0] * 50))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reconstruct_rejects_swapped_h3_graph(cg3, seed):
+    # a double edge swap keeps every degree, so q = 3 is still inferred,
+    # but each removed edge was the meet of two blocks at a point, whose
+    # pencil is then no clique
+    swapped = double_edge_swap(cg3, seed)
+    assert [swapped.degree(v) for v in range(63)] == [cg3.degree(v) for v in range(63)]
+    assert swapped.rows != cg3.rows
+    with pytest.raises(NotAUnitalGraph,
+                       match=r"^26 maximal cliques of size 9, expected 28$"):
+        reconstruct_unital(swapped)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reconstruct_rejects_swapped_h4_graph(cg4, seed):
+    swapped = double_edge_swap(cg4, seed)
+    assert [swapped.degree(v) for v in range(208)] == [cg4.degree(v) for v in range(208)]
+    with pytest.raises(NotAUnitalGraph,
+                       match=r"^63 maximal cliques of size 16, expected 65$"):
+        reconstruct_unital(swapped)
+
+
+def test_reconstruct_rejects_h3_graph_without_one_edge(cg3):
+    dropped = ConfluenceGraph.from_edges(63, cg3.edges()[1:])
+    with pytest.raises(NotAUnitalGraph, match=r"^no q >= 2 matches 63 vertices "
+                                              r"with the required regularity$"):
+        reconstruct_unital(dropped)
 
 
 # --- extending graph isomorphisms ---
