@@ -276,8 +276,7 @@ def _refined_colors(S1: IncidenceStructure,
     """Jointly refine point colors of both structures, from the blocks alone.
 
     A color is a cell: the points of that color in S1 and in S2. Colors
-    start as the sorted sizes of the blocks through each point (when all
-    blocks have one size, the point's degree, which fixes them), numbered
+    start as the sorted sizes of the blocks through each point, numbered
     through a palette shared by both structures. The refinement then
     splits cells by splitters (McKay 1981) until no splitter is left.
     Popping a splitter C, every point x counts its incidences with C, by
@@ -304,12 +303,8 @@ def _refined_colors(S1: IncidenceStructure,
     the block sizes); otherwise the stable coloring.
     """
     sides = (S1, S2)
-    block_sizes = [list(map(len, S.blocks)) for S in sides]
-    if len(set(block_sizes[0]) | set(block_sizes[1])) < 2:
-        keys = [list(map(len, S.point_blocks)) for S in sides]
-    else:
-        keys = [[tuple(sorted(map(size.__getitem__, pb))) for pb in S.point_blocks]
-                for S, size in zip(sides, block_sizes)]
+    keys = [[tuple(sorted(len(S.blocks[b]) for b in pb)) for pb in S.point_blocks]
+            for S in sides]
     palette = {k: c for c, k in enumerate(sorted(set(keys[0]) | set(keys[1])))}
     colors = [[palette[k] for k in side_keys] for side_keys in keys]
     counts = Counter(colors[0])
@@ -320,8 +315,6 @@ def _refined_colors(S1: IncidenceStructure,
     largest = max(range(len(sizes)), key=sizes.__getitem__, default=None)
     queued = [c != largest for c in range(len(sizes))]
     queue = [c for c in range(len(sizes)) if queued[c]]
-    if not queue:
-        return colors[0], colors[1]
     cells: list[list[set[int]]] = [[set() for _ in sizes] for _ in sides]
     for side_cells, side_colors in zip(cells, colors):
         for x, c in enumerate(side_colors):
