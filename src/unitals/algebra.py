@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .errors import NotPrimePower, TooLarge
+from .errors import GeometryError
 
 MAX_ORDER = 625
 
@@ -92,8 +92,8 @@ def field_create(q: int) -> Field:
     """The tables of GF(q) under least_irreducible(p, e), q = p^e <= 625.
 
     The cap is checked before q is factored, so a huge q is refused at
-    once with TooLarge; below it, a q that is not a prime power raises
-    NotPrimePower.
+    once; below it, a q that is not a prime power is refused. Both raise
+    GeometryError.
 
     Each row is filled from an earlier row. If k is the lowest nonzero
     digit of a, then a - p^k keeps every other digit of a, so add[a] is
@@ -101,10 +101,10 @@ def field_create(q: int) -> Field:
     mul[a][b] = add[mul[a - p^k][b]][b * x^k].
     """
     if q > MAX_ORDER:
-        raise TooLarge(f"field order {q} exceeds {MAX_ORDER}")
+        raise GeometryError(f"field order {q} exceeds {MAX_ORDER}")
     pe = prime_power(q)
     if pe is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise GeometryError(f"{q} is not a prime power")
     p, e = pe
     powers = [p**k for k in range(e)]
     low = [0] * q  # low[a]: the position of the lowest nonzero digit of a

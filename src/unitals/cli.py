@@ -5,8 +5,9 @@ reconstruct, isomorphic. All outputs are deterministic: identical inputs
 produce byte-identical files.
 
 Exit codes: 0 on success, 1 when a checked verification property fails
-(wrong parameters, configurations found against --expect-none, failed
-reconstruction or isomorphism), 2 on usage or I/O errors, 3 on any other
+(wrong parameters, a census VIOLATION, configurations found against
+--expect-none, failed reconstruction or isomorphism, VerificationFailed),
+2 on usage or I/O errors and any other GeometryError, 3 on any other
 exception (an internal error, such as running out of memory). A write
 to a stdout that its reader has closed is an I/O error: exit 2, with the
 one stderr line "error: [Errno 32] Broken pipe".
@@ -28,23 +29,7 @@ from . import confluence as confl
 from . import incidence as inc
 from . import linspace as lsp
 from . import reconstruct as rec
-from .errors import (
-    AssumptionViolation,
-    ConstructionFailed,
-    GeometryError,
-    InternalCheckFailed,
-    LemmaViolation,
-    NotAUnitalGraph,
-)
-
-# errors meaning "the theorem-level check failed on valid input"
-_VERIFICATION_ERRORS = (
-    AssumptionViolation,
-    ConstructionFailed,
-    InternalCheckFailed,
-    LemmaViolation,
-    NotAUnitalGraph,
-)
+from .errors import GeometryError, VerificationFailed
 
 
 @functools.cache
@@ -203,22 +188,48 @@ def cmd_cliques(args) -> int:
         print("tags=" + " ".join(f"{t}:{c}" for t, c in sorted(tags.items())))
         q = inc.validate_unital(S)
         if q is not None:
-            bad = [t for t in tagged
-                   if not (t.tag == "pencil" and t.size == q * q
-                           or t.tag == "near_pencil" and t.size == q + 2)]
-            if bad:
-                print(f"VIOLATION: {len(bad)} cliques are neither pencils of size "
-                      f"{q * q} nor near pencils of size {q + 2}")
-                status = 1
-            else:
-                print(f"verified: every maximal clique is a pencil (size {q * q}) "
-                      f"or a near pencil (size {q + 2})")
+            status = _unital_census(S, q, Counter((t.tag, t.size) for t in tagged))
         if args.json:
             _write_records(args.json, (_clique_record(t.clique, t.size, t.tag, t.point, t.line)
                                        for t in tagged))
     elif args.json:
         _write_records(args.json, (_clique_record(c, len(c)) for c in found))
     return status
+
+
+def _unital_census(S: inc.IncidenceStructure, q: int, kinds: Counter) -> int:
+    """Print the verdict on the maximal cliques of S, a unital of order q,
+    from the count of each (tag, size); return the exit code.
+
+    In every unital the q^3+1 pencils are maximal cliques of size q^2,
+    and no clique is larger or, save near pencils at q = 2, as large.
+    Every maximal clique is a pencil or a near pencil exactly when S has
+    no O'Nan configuration (a clique holding one is neither; a maximal
+    one holding none is one of the two), as in the Hermitian unitals
+    (O'Nan 1972). So the scan runs only when some clique is neither, and
+    finding no configuration then is a VIOLATION.
+    """
+    pencils = kinds[("pencil", q * q)]
+    others = sum(count for (tag, size), count in kinds.items()
+                 if size > q * q or size == q * q and tag == "other")
+    if pencils != q**3 + 1 or others:
+        print(f"VIOLATION: maximal cliques of size {q * q} or more: {pencils} pencils, "
+              f"{others} others; expected the {q**3 + 1} pencils alone")
+        return 1
+    bad = sum(count for (tag, size), count in kinds.items()
+              if not (tag == "pencil" and size == q * q
+                      or tag == "near_pencil" and size == q + 2))
+    if not bad:
+        print(f"verified: every maximal clique is a pencil (size {q * q}) "
+              f"or a near pencil (size {q + 2})")
+    elif inc.count_onan(S, limit=1) == 0:
+        print(f"VIOLATION: {bad} cliques are neither pencils of size "
+              f"{q * q} nor near pencils of size {q + 2}")
+        return 1
+    else:
+        print(f"verified: the maximal cliques of size {q * q} are the {q**3 + 1} pencils, "
+              f"and none is larger")
+    return 0
 
 
 def _clique_record(blocks, size: int, tag: str | None = None,
@@ -353,7 +364,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except _VERIFICATION_ERRORS as exc:
+    except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except (GeometryError, OSError, ValueError) as exc:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .confluence import ConfluenceGraph
-from .errors import NotAClique
+from .errors import GeometryError
 from .incidence import IncidenceStructure, _bits
 
 
@@ -142,7 +142,7 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
             disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
             if disjoint:
                 j = (disjoint & -disjoint).bit_length() - 1
-                raise NotAClique(f"blocks {i} and {j} are disjoint")
+                raise GeometryError(f"blocks {i} and {j} are disjoint")
     size = len(members)
     pencils = S.pencil_masks
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import FormatError, NonNegativeSmallestEigenvalue
+from .errors import GeometryError
 from .incidence import IncidenceStructure, _bits
 
 
@@ -135,8 +135,7 @@ def srg_check(G: ConfluenceGraph) -> SrgParams | None:
     d = isqrt(disc)
     if d * d != disc:
         return None  # irrational eigenvalue pair; outside supported scope
-    if (lam - mu + d) % 2 != 0:
-        return None
+    # d^2 = (lam - mu)^2 + 4(k - mu) forces d = lam - mu (mod 2): r, s are integers
     r = (lam - mu + d) // 2
     s = (lam - mu - d) // 2
     return SrgParams(v=n, k=k, lam=lam, mu=mu, r=r, s=s)
@@ -158,7 +157,7 @@ def expected_unital_params(q: int) -> SrgParams:
 def hoffman_bound(params: SrgParams) -> Fraction:
     """The ratio bound 1 + k/(-s) on clique size, as an exact rational."""
     if params.s >= 0:
-        raise NonNegativeSmallestEigenvalue(f"s = {params.s} is not negative")
+        raise GeometryError(f"s = {params.s} is not negative")
     return 1 + Fraction(params.k, -params.s)
 
 
@@ -203,39 +202,39 @@ def read_dimacs(path) -> ConfluenceGraph:
                 continue
             if parts[0] == "c":
                 if n is not None:
-                    raise FormatError(f"line {lineno}: comment after the problem line")
+                    raise GeometryError(f"line {lineno}: comment after the problem line")
                 continue
             if parts[0] == "p":
                 if n is not None:
-                    raise FormatError(f"line {lineno}: repeated problem line")
+                    raise GeometryError(f"line {lineno}: repeated problem line")
                 if len(parts) != 4 or parts[1] != "edge":
-                    raise FormatError(f"line {lineno}: malformed problem line")
+                    raise GeometryError(f"line {lineno}: malformed problem line")
                 try:
                     n, m = int(parts[2]), int(parts[3])
                 except ValueError:
-                    raise FormatError(f"line {lineno}: non-integer sizes") from None
+                    raise GeometryError(f"line {lineno}: non-integer sizes") from None
                 if n < 0 or m < 0:
-                    raise FormatError(f"line {lineno}: negative sizes")
+                    raise GeometryError(f"line {lineno}: negative sizes")
             elif parts[0] == "e":
                 if n is None:
-                    raise FormatError(f"line {lineno}: edge before problem line")
+                    raise GeometryError(f"line {lineno}: edge before problem line")
                 if len(parts) != 3:
-                    raise FormatError(f"line {lineno}: malformed edge line")
+                    raise GeometryError(f"line {lineno}: malformed edge line")
                 try:
                     i, j = int(parts[1]), int(parts[2])
                 except ValueError:
-                    raise FormatError(f"line {lineno}: non-integer endpoints") from None
+                    raise GeometryError(f"line {lineno}: non-integer endpoints") from None
                 if not 1 <= i < j <= n:
-                    raise FormatError(f"line {lineno}: edge ({i}, {j}) is not 1 <= i < j <= {n}")
+                    raise GeometryError(f"line {lineno}: edge ({i}, {j}) is not 1 <= i < j <= {n}")
                 if (i, j) <= last:
-                    raise FormatError(f"line {lineno}: edge ({i}, {j}) is not after "
-                                      f"the previous edge {last}")
+                    raise GeometryError(f"line {lineno}: edge ({i}, {j}) is not after "
+                                        f"the previous edge {last}")
                 last = (i, j)
                 edges.append((i - 1, j - 1))
             else:
-                raise FormatError(f"line {lineno}: unknown line type {parts[0]!r}")
+                raise GeometryError(f"line {lineno}: unknown line type {parts[0]!r}")
     if n is None:
-        raise FormatError("missing problem line")
+        raise GeometryError("missing problem line")
     if m != len(edges):
-        raise FormatError(f"header announces {m} edges, file has {len(edges)}")
+        raise GeometryError(f"header announces {m} edges, file has {len(edges)}")
     return ConfluenceGraph.from_edges(n, edges)

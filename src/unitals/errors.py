@@ -1,79 +1,21 @@
-"""Exception hierarchy shared by all modules.
+"""The two exceptions of the package, one per CLI exit code.
 
-Every domain error derives from GeometryError so callers (notably the CLI)
-can distinguish library failures from programming errors.
+GeometryError: the input is malformed or the request is out of scope
+(a bad file, an unsupported order, a point set outside the structure, a
+block set that is not a clique). The CLI reports it on stderr as
+"error: ..." and exits 2, as it does for OSError and ValueError.
+
+VerificationFailed: a checked claim failed on input that the check
+accepts (a linear space outside the standing assumptions, a host plane
+that cannot be completed, a graph that is not a unital's, a failed
+self-check). The CLI reports it as "verification failed: ..." and exits
+1. It subclasses GeometryError, so one except clause catches both.
 """
 
 
 class GeometryError(Exception):
-    """Base class for all errors raised by this package."""
+    """Bad input or an out-of-scope request (CLI exit 2)."""
 
 
-# --- finite field arithmetic ---
-
-class TooLarge(GeometryError):
-    """The requested object exceeds the supported size bound."""
-
-
-class NotPrimePower(GeometryError):
-    """The given order is not a prime power."""
-
-
-# --- incidence structures ---
-
-class MalformedStructure(GeometryError):
-    """Point index out of range, block of size < 2, or duplicate block."""
-
-
-class FormatError(GeometryError):
-    """A serialized file violates its format contract."""
-
-
-class InternalCheckFailed(GeometryError):
-    """A mandatory self-check of a constructed object failed."""
-
-
-class InvalidPointSet(GeometryError):
-    """A point set argument is not a subset of the structure's points."""
-
-
-# --- graphs ---
-
-class NonNegativeSmallestEigenvalue(GeometryError):
-    """The ratio bound needs a negative smallest eigenvalue."""
-
-
-class NotAClique(GeometryError):
-    """The given block set contains a disjoint pair."""
-
-
-# --- linear space classification ---
-
-class LemmaViolation(GeometryError):
-    """An internal consistency fact failed; the input is corrupted."""
-
-
-class QTooSmall(GeometryError):
-    """The classification requires q >= 3."""
-
-
-class AssumptionViolation(GeometryError):
-    """The input does not satisfy the standing assumptions."""
-
-
-class ConstructionFailed(GeometryError):
-    """The completion construction met a contradiction; bad input."""
-
-
-# --- reconstruction ---
-
-class NotAUnitalGraph(GeometryError):
-    """The graph is not the block-intersection graph of a unital."""
-
-
-class NotAGraphIsomorphism(GeometryError):
-    """The given vertex map does not preserve adjacency."""
-
-
-class PencilImageNotAPencil(GeometryError):
-    """A pencil image is not a pencil; the inputs are not valid unitals."""
+class VerificationFailed(GeometryError):
+    """A checked claim failed on input the check accepts (CLI exit 1)."""

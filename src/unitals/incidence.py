@@ -40,13 +40,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Field, field_create, prime_power
-from .errors import (
-    FormatError,
-    InternalCheckFailed,
-    InvalidPointSet,
-    MalformedStructure,
-    NotPrimePower,
-)
+from .errors import GeometryError, VerificationFailed
 
 
 def _bits(mask: int):
@@ -72,35 +66,34 @@ class IncidenceStructure:
 
     Blocks passed to the constructor may be in any order; they are
     normalized. A block with a repeated point, an out-of-range index, a
-    size below 2, or a duplicate of another block raises
-    MalformedStructure.
+    size below 2, or a duplicate of another block raises GeometryError.
     """
 
     def __init__(self, num_points: int,
                  blocks: Iterable[Iterable[int]],
                  labels: Sequence[str] | None = None):
         if num_points < 0:
-            raise MalformedStructure("negative point count")
+            raise GeometryError("negative point count")
         norm = []
         for raw in blocks:
             block = tuple(sorted(raw))
             if len(block) < 2:
-                raise MalformedStructure(f"block {block} has fewer than 2 points")
+                raise GeometryError(f"block {block} has fewer than 2 points")
             if any(block[i] == block[i + 1] for i in range(len(block) - 1)):
-                raise MalformedStructure(f"block {block} repeats a point")
+                raise GeometryError(f"block {block} repeats a point")
             if block[0] < 0 or block[-1] >= num_points:
-                raise MalformedStructure(f"block {block} out of range 0..{num_points - 1}")
+                raise GeometryError(f"block {block} out of range 0..{num_points - 1}")
             norm.append(block)
         norm.sort()
         for i in range(len(norm) - 1):
             if norm[i] == norm[i + 1]:
-                raise MalformedStructure(f"duplicate block {norm[i]}")
+                raise GeometryError(f"duplicate block {norm[i]}")
         self.num_points = num_points
         self.blocks: tuple[tuple[int, ...], ...] = tuple(norm)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != num_points:
-                raise MalformedStructure("labels length differs from num_points")
+                raise GeometryError("labels length differs from num_points")
         self.labels = labels
 
     @cached_property
@@ -272,7 +265,7 @@ def puncture(P: IncidenceStructure, deleted: Iterable[int]) -> IncidenceStructur
     """
     dset = set(deleted)
     if not all(isinstance(p, int) and 0 <= p < P.num_points for p in dset):
-        raise InvalidPointSet(f"deleted set not within 0..{P.num_points - 1}")
+        raise GeometryError(f"deleted set not within 0..{P.num_points - 1}")
     survivors = [p for p in range(P.num_points) if p not in dset]
     new_index = {p: i for i, p in enumerate(survivors)}
     restricted = set()
@@ -290,13 +283,13 @@ def hermitian_unital(q: int) -> IncidenceStructure:
     Points are the points (x:y:z) of PG(2,q^2) with
     x^(q+1) + y^(q+1) + z^(q+1) = 0; blocks are the line sections of
     size q+1 (the secants). The construction self-checks its design
-    parameters and raises InternalCheckFailed on any mismatch.
+    parameters and raises VerificationFailed on any mismatch.
     """
     cap = "hermitian_unital supports q <= 5"
     if q > 25:  # refused unfactored; up to the plane cap, a non-prime-power is named
         raise ValueError(cap)
     if prime_power(q) is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise GeometryError(f"{q} is not a prime power")
     if q > 5:
         raise ValueError(cap)
     field = field_create(q * q)
@@ -319,7 +312,7 @@ def hermitian_unital(q: int) -> IncidenceStructure:
     labels = [_label(points[p]) for p in absolute]
     unital = IncidenceStructure(len(absolute), blocks, labels=labels)
     if validate_unital(unital) != q:
-        raise InternalCheckFailed(f"Hermitian construction for q={q} failed self-check")
+        raise VerificationFailed(f"Hermitian construction for q={q} failed self-check")
     return unital
 
 
@@ -420,28 +413,28 @@ def to_json_dict(S: IncidenceStructure) -> dict:
 def from_json_dict(data: dict) -> IncidenceStructure:
     """Strict reader for incidence-v1; rejects any invariant violation."""
     if not isinstance(data, dict) or data.get("format") != "incidence-v1":
-        raise FormatError('missing or wrong "format" key (want "incidence-v1")')
+        raise GeometryError('missing or wrong "format" key (want "incidence-v1")')
     n = data.get("num_points")
     if type(n) is not int or n < 0:  # bool is an int subclass; JSON true is not a count
-        raise FormatError('"num_points" must be a non-negative integer')
+        raise GeometryError('"num_points" must be a non-negative integer')
     blocks = data.get("blocks")
     if not isinstance(blocks, list):
-        raise FormatError('"blocks" must be an array')
+        raise GeometryError('"blocks" must be an array')
     for block in blocks:
         if not isinstance(block, list) or not all(type(x) is int for x in block):
-            raise FormatError(f"block {block!r} is not an array of integers")
+            raise GeometryError(f"block {block!r} is not an array of integers")
         if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
-            raise FormatError(f"block {block} is not strictly increasing")
+            raise GeometryError(f"block {block} is not strictly increasing")
         if block and (block[0] < 0 or block[-1] >= n):
-            raise FormatError(f"block {block} out of range")
+            raise GeometryError(f"block {block} out of range")
     for i in range(len(blocks) - 1):
         if blocks[i] >= blocks[i + 1]:
-            raise FormatError("blocks are not sorted lexicographically without duplicates")
+            raise GeometryError("blocks are not sorted lexicographically without duplicates")
     labels = data.get("labels")
     if labels is not None:
         if (not isinstance(labels, list) or len(labels) != n
                 or not all(isinstance(s, str) for s in labels)):
-            raise FormatError('"labels" must be an array of strings of length num_points')
+            raise GeometryError('"labels" must be an array of strings of length num_points')
     return IncidenceStructure(n, blocks, labels=labels)
 
 
@@ -455,7 +448,7 @@ def read_json(path) -> IncidenceStructure:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
+            raise GeometryError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)
 
 

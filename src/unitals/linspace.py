@@ -69,13 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AssumptionViolation,
-    ConstructionFailed,
-    InternalCheckFailed,
-    LemmaViolation,
-    QTooSmall,
-)
+from .errors import GeometryError, VerificationFailed
 from .incidence import IncidenceStructure, _common, validate
 
 
@@ -140,7 +134,7 @@ def projective_lines(D: IncidenceStructure, q: int) -> tuple[int, ...]:
         missed = every & ~D.block_rows[i] & ~(1 << i)
         if missed:
             j = (missed & -missed).bit_length() - 1
-            raise LemmaViolation(
+            raise VerificationFailed(
                 f"size-(q+1) line {i} misses line {j}; input corrupted")
     return full
 
@@ -149,20 +143,20 @@ def thin_points(D: IncidenceStructure, q: int) -> list[int]:
     """Points with pencils of size <= q (at most one may exist).
 
     If one exists, its pencil has exactly q lines, exactly one of size q,
-    all others of size q+1. Any other shape raises LemmaViolation.
+    all others of size q+1. Any other shape raises VerificationFailed.
     """
     thin = [p for p, through in enumerate(D.point_blocks) if len(through) <= q]
     if len(thin) > 1:
-        raise LemmaViolation(f"multiple thin points {thin}; input corrupted")
+        raise VerificationFailed(f"multiple thin points {thin}; input corrupted")
     if thin:
         u = thin[0]
         through = D.point_blocks[u]
         if len(through) != q:
-            raise LemmaViolation(
+            raise VerificationFailed(
                 f"thin point {u} has {len(through)} lines, expected exactly {q}")
         sizes = sorted(len(D.blocks[i]) for i in through)
         if sizes != [q] + [q + 1] * (q - 1):
-            raise LemmaViolation(
+            raise VerificationFailed(
                 f"thin point {u} has line sizes {sizes}, expected one of {q} "
                 f"and {q - 1} of {q + 1}")
     return thin
@@ -178,11 +172,11 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     verifier re-checks it; pass embed=False to skip the embedding.
     """
     if q < 3:
-        raise QTooSmall("classification requires q >= 3")
+        raise GeometryError("classification requires q >= 3")
     report = check_assumptions(D, q)
     if not report.passed:
         detail = "; ".join(report.violations) or "not a linear space"
-        raise AssumptionViolation(detail)
+        raise VerificationFailed(detail)
     full = projective_lines(D, q)
     thin = thin_points(D, q)
     line_count = len(D.blocks)
@@ -190,17 +184,17 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     if not full:
         case = "affine_plane"
         if line_count != q * q + q:
-            raise LemmaViolation(
+            raise VerificationFailed(
                 f"affine case must have q^2+q lines, found {line_count}")
     elif thin:
         case = "thin_point"
         if line_count != q * q + q:
-            raise LemmaViolation(
+            raise VerificationFailed(
                 f"thin-point case must have q^2+q lines, found {line_count}")
     else:
         case = "full_pencils"
         if line_count != q * q + q + 1:
-            raise LemmaViolation(
+            raise VerificationFailed(
                 f"full-pencils case must have q^2+q+1 lines, found {line_count}")
     result = LinSpaceClass(q=q, case=case, line_count=line_count, projective_lines=full)
     if thin:
@@ -210,7 +204,7 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
         result.embedding = complete_to_plane(D, q)
         problems = embedding_errors(D, result.embedding, q)
         if problems:
-            raise InternalCheckFailed("; ".join(problems))
+            raise VerificationFailed("; ".join(problems))
     return result
 
 
@@ -248,16 +242,16 @@ def complete_to_plane(D: IncidenceStructure, q: int) -> EmbeddingWitness:
     lines of D, then of D minus its thin point if it has one, and the
     line through the points that then lie on only q lines, if any (see
     the module docstring). D's points keep their indices. A partition
-    count other than q+1, or a host that is not a projective plane of
-    order q, raises ConstructionFailed; a partition of D without a
-    size-q line (a deleted point with no tangent) raises LemmaViolation.
+    count other than q+1, a host that is not a projective plane of order
+    q, or a partition of D without a size-q line (a deleted point with no
+    tangent) raises VerificationFailed.
     """
     whole = _partitions(D)
     parts = list(whole)
     for u in thin_points(D, q):
         parts += _partitions(D, 1 << u, ~D.pencil_masks[u])
     if len(parts) != q + 1:
-        raise ConstructionFailed(f"{len(parts)} partitions into lines, expected {q + 1}")
+        raise VerificationFailed(f"{len(parts)} partitions into lines, expected {q + 1}")
     n = D.num_points
     blocks = [list(block) for block in D.blocks]
     for k, part in enumerate(parts):
@@ -270,11 +264,11 @@ def complete_to_plane(D: IncidenceStructure, q: int) -> EmbeddingWitness:
     # sizes first: a one-point extra line is not a block
     if (n != q * q or any(len(b) != q + 1 for b in blocks)
             or not validate(host := IncidenceStructure(n + q + 1, blocks)).is_linear_space):
-        raise ConstructionFailed("the rebuilt host is not a projective plane of order q")
+        raise VerificationFailed("the rebuilt host is not a projective plane of order q")
     # tangent: every deleted point lies on the host line of a size-q line of D
     for k, part in enumerate(whole):
         if all(len(D.blocks[j]) != q for j in part):
-            raise LemmaViolation(f"deleted host point {n + k} has no tangent line")
+            raise VerificationFailed(f"deleted host point {n + k} has no tangent line")
     return EmbeddingWitness(host=host, point_map=tuple(range(n)),
                             deleted=tuple(range(n, n + q + 1)))
 

@@ -32,12 +32,7 @@ from typing import Sequence
 
 from .cliques import enumerate_maximal_cliques
 from .confluence import ConfluenceGraph, expected_unital_params, infer_order, srg_check
-from .errors import (
-    MalformedStructure,
-    NotAGraphIsomorphism,
-    NotAUnitalGraph,
-    PencilImageNotAPencil,
-)
+from .errors import GeometryError, VerificationFailed
 from .incidence import (
     IncidenceStructure,
     _bits,
@@ -67,21 +62,21 @@ def reconstruct_unital(G: ConfluenceGraph) -> Reconstruction:
     """Rebuild a unital, up to isomorphism, from its confluence graph."""
     q = infer_order(G)
     if q is None:
-        raise NotAUnitalGraph(
+        raise VerificationFailed(
             f"no q >= 2 matches {G.n} vertices with the required regularity")
     if q == 2:
         # K_{3,3,3,3}, the confluence graph of AG(2,3), is the one graph
         # with these parameters; other 9-regular graphs on 12 vertices
         # must not take the shortcut
         if srg_check(G) != expected_unital_params(2):
-            raise NotAUnitalGraph("12-vertex graph is not the order-2 "
-                                  "unital graph SRG(12, 9, 6, 9)")
+            raise VerificationFailed("12-vertex graph is not the order-2 "
+                                     "unital graph SRG(12, 9, 6, 9)")
         return Reconstruction(q=2, point_cliques=(),
                               structure=affine_plane(3), via_q2_shortcut=True)
     point_cliques = tuple(c for c in enumerate_maximal_cliques(G)
                           if len(c) == q * q)
     if len(point_cliques) != q**3 + 1:
-        raise NotAUnitalGraph(
+        raise VerificationFailed(
             f"{len(point_cliques)} maximal cliques of size {q * q}, "
             f"expected {q**3 + 1}")
     membership: list[list[int]] = [[] for _ in range(G.n)]
@@ -89,13 +84,13 @@ def reconstruct_unital(G: ConfluenceGraph) -> Reconstruction:
         for vertex in clique:
             membership[vertex].append(j)
     if any(len(m) != q + 1 for m in membership):
-        raise NotAUnitalGraph("some block lies in a wrong number of point cliques")
+        raise VerificationFailed("some block lies in a wrong number of point cliques")
     try:
         structure = IncidenceStructure(len(point_cliques), membership)
-    except MalformedStructure as exc:
-        raise NotAUnitalGraph(f"rebuilt blocks are degenerate: {exc}") from exc
+    except GeometryError as exc:
+        raise VerificationFailed(f"rebuilt blocks are degenerate: {exc}") from exc
     if validate_unital(structure) != q:
-        raise NotAUnitalGraph("rebuilt structure fails the design validation")
+        raise VerificationFailed("rebuilt structure fails the design validation")
     return Reconstruction(q=q, point_cliques=point_cliques, structure=structure)
 
 
@@ -118,7 +113,7 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
     beta = list(beta)
     n = len(S.blocks)
     if sorted(beta) != list(range(n)) or len(S2.blocks) != n:
-        raise NotAGraphIsomorphism("beta is not a bijection on block indices")
+        raise GeometryError("beta is not a bijection on block indices")
     inverse = [0] * n
     for i, image in enumerate(beta):
         inverse[image] = i
@@ -128,24 +123,24 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
         diff = sum(1 << beta[j] for j in _bits(row)) ^ S2.block_rows[beta[i]]
         if diff:
             j = min(inverse[k] for k in _bits(diff))
-            raise NotAGraphIsomorphism(f"adjacency differs at block pair ({i}, {j})")
+            raise GeometryError(f"adjacency differs at block pair ({i}, {j})")
 
     point_map: list[int] = []
     for u in range(S.num_points):
         image = [beta[i] for i in S.point_blocks[u]]
         common = _common(S2.block_masks, image)
         if not common or common & (common - 1):
-            raise PencilImageNotAPencil(
+            raise GeometryError(
                 f"image of the pencil of point {u} has no unique common point")
         u2 = common.bit_length() - 1
         if S2.pencil_masks[u2] != sum(1 << i for i in image):
-            raise PencilImageNotAPencil(
+            raise GeometryError(
                 f"image of the pencil of point {u} is not the full pencil of {u2}")
         point_map.append(u2)
 
     for i, block in enumerate(S.blocks):
         if tuple(sorted(point_map[x] for x in block)) != S2.blocks[beta[i]]:
-            raise PencilImageNotAPencil(
+            raise GeometryError(
                 f"block {i} does not map onto block {beta[i]}; inputs invalid")
     return point_map
 

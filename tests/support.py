@@ -8,8 +8,8 @@ from itertools import combinations, permutations
 from unitals.algebra import field_create
 from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
-from unitals.errors import GeometryError, MalformedStructure, NotAClique
-from unitals.incidence import IncidenceStructure
+from unitals.errors import GeometryError
+from unitals.incidence import IncidenceStructure, _pg_data
 from unitals.linspace import complete_to_plane
 
 
@@ -231,7 +231,7 @@ def classify_clique_oracle(S, clique) -> CliqueClassification:
     sets = block_sets(S)
     for i, j in combinations(members, 2):
         if not sets[i] & sets[j]:
-            raise NotAClique(f"blocks {i} and {j} are disjoint")
+            raise GeometryError(f"blocks {i} and {j} are disjoint")
     size = len(members)
 
     common = frozenset.intersection(*(sets[i] for i in members)) if members else ()
@@ -247,7 +247,7 @@ def classify_clique_oracle(S, clique) -> CliqueClassification:
                     if near_pencil(S, p, L) == members:
                         return CliqueClassification(
                             members, size, "near_pencil", point=p, line=L)
-                except MalformedStructure:
+                except GeometryError:
                     continue
     return CliqueClassification(members, size, "other")
 
@@ -256,7 +256,7 @@ def near_pencil(S, p: int, L: int) -> tuple[int, ...]:
     """Block L plus the block joining p to each point of L, for p off L,
     found from the block tuples alone: the reference classify_clique's
     near-pencil test is checked against. Raises ValueError when p lies on
-    L, and MalformedStructure when some join is missing or not unique."""
+    L, and GeometryError when some join is missing or not unique."""
     blocks = S.blocks
     if p in blocks[L]:
         raise ValueError(f"point {p} lies on block {L}")
@@ -265,7 +265,7 @@ def near_pencil(S, p: int, L: int) -> tuple[int, ...]:
     for x in blocks[L]:
         joins = [i for i in through_p if x in blocks[i]]
         if len(joins) != 1:
-            raise MalformedStructure(
+            raise GeometryError(
                 f"no unique block joins {p} and {x}; not a linear space")
         out.add(joins[0])
     return tuple(sorted(out))
@@ -320,6 +320,33 @@ def hall_plane() -> IncidenceStructure:
               for c in range(1, 9) for u in range(9) for v in range(9)}
     assert len(lines) == 90
     return complete_to_plane(IncidenceStructure(81, lines), 9).host
+
+
+def buekenhout_metz_unital(alpha: int) -> IncidenceStructure:
+    """The point set {(x : alpha*x^2 + r : 1) : x in GF(9), r in GF(3)} plus
+    (0:1:0) of PG(2,9), with its 4-point line sections as blocks: the
+    orthogonal Buekenhout-Metz unital of order 3 (Buekenhout 1976; Metz
+    1979) when alpha is 4, 5, 7 or 8 in the encoding of field_create(9).
+    Other alpha give 28 points and 9 blocks, not a unital. Each triple is
+    normalised so that its first nonzero coordinate is 1, and looked up
+    in the point list of PG(2,9)."""
+    field = field_create(9)
+    add, mul = field
+    points, rows = _pg_data(field)
+    index = {p: i for i, p in enumerate(points)}
+    inv = [0] + [mul[a].index(1) for a in range(1, 9)]
+
+    def normalised(triple):
+        scale = mul[inv[next(c for c in triple if c)]]
+        return index[tuple(scale[c] for c in triple)]
+
+    # GF(3) is {0, 1, 2} in the encoding
+    chosen = {normalised((x, add[mul[alpha][mul[x][x]]][r], 1))
+              for x in range(9) for r in range(3)}
+    chosen.add(normalised((0, 1, 0)))
+    new_index = {p: i for i, p in enumerate(sorted(chosen))}
+    sections = ([new_index[p] for p in row if p in new_index] for row in rows)
+    return IncidenceStructure(len(new_index), [b for b in sections if len(b) == 4])
 
 
 def fano_quadrangle(P):

@@ -266,7 +266,7 @@ def test_c10_lemma_suite_on_1000_instances():
             report = validate(D)
             assert report.is_linear_space, f"q={q} cut={cut}"
             assert D.num_points == q * q
-            # these raise LemmaViolation on any breach
+            # these raise VerificationFailed on any breach
             projective_lines(D, q)
             thin = thin_points(D, q)
             result = classify(D, q, embed=True)  # re-checks its witness

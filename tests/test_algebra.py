@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unitals.algebra import field_create, least_irreducible, prime_power
-from unitals.errors import NotPrimePower, TooLarge
+from unitals.errors import GeometryError
 
 PRIMES_625 = [p for p in range(2, 626) if all(p % d for d in range(2, p))]
 EXTENSION_ORDERS_625 = sorted(
@@ -41,7 +41,7 @@ def test_create_gf9_least_irreducible():
 
 def test_create_rejects_non_prime_power():
     for q in (6, 12):
-        with pytest.raises(NotPrimePower, match=f"^{q} is not a prime power$"):
+        with pytest.raises(GeometryError, match=f"^{q} is not a prime power$"):
             field_create(q)
 
 
@@ -50,7 +50,7 @@ def test_create_rejects_oversized_field(monkeypatch):
         raise AssertionError(f"factored {n}")
     monkeypatch.setattr("unitals.algebra.prime_power", factor)
     for q in (626, 2**61 - 1):
-        with pytest.raises(TooLarge, match=f"^field order {q} exceeds 625$"):
+        with pytest.raises(GeometryError, match=f"^field order {q} exceeds 625$"):
             field_create(q)
 
 

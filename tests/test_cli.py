@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from support import double_edge_swap
+from support import buekenhout_metz_unital, double_edge_swap
 
 from unitals import cli
 from unitals.cli import main
@@ -177,6 +177,75 @@ def test_onan_expectations(tmp_path, h3_json):
     assert run("onan", str(pg2), "--expect-none") == 1
     assert run("onan", str(pg2), "--limit", "2", "--expect-none") == 1
     assert run("onan", str(pg2), "--limit", "-1") == 2
+
+
+@pytest.fixture()
+def bm3_json(tmp_path):
+    path = tmp_path / "bm3.json"
+    path.write_text(format_json(buekenhout_metz_unital(4)))
+    return path
+
+
+def _retag_first(monkeypatch, tag):
+    """Make `cliques` tag the first clique it classifies as `tag` as
+    "other" instead, so that a verdict branch no real input reaches runs."""
+    classify = cli.cliques_mod.classify_clique
+    retagged = []
+
+    def retag(S, clique):
+        result = classify(S, clique)
+        if not retagged and result.tag == tag:
+            retagged.append(result)
+            return result._replace(tag="other", point=None, line=None)
+        return result
+    monkeypatch.setattr(cli.cliques_mod, "classify_clique", retag)
+
+
+def test_cliques_classify_on_a_hermitian_unital_scans_for_no_onan(h3_json, capsys, onan_scans):
+    assert run("cliques", str(h3_json), "--classify") == 0
+    assert capsys.readouterr().out == (
+        "maximal_cliques=1540\n"
+        "sizes=5:1512 9:28\n"
+        "tags=near_pencil:1512 pencil:28\n"
+        "verified: every maximal clique is a pencil (size 9) or a near pencil (size 5)\n")
+    assert onan_scans == []
+
+
+def test_cliques_classify_scopes_the_census_by_onan_configurations(bm3_json, capsys, onan_scans):
+    # the Buekenhout-Metz unital has O'Nan configurations, so its 972
+    # "other" cliques refute no claim: only the pencil claim is verified
+    assert run("cliques", str(bm3_json), "--classify") == 0
+    assert capsys.readouterr().out == (
+        "maximal_cliques=2512\n"
+        "sizes=5:2484 9:28\n"
+        "tags=near_pencil:1512 other:972 pencil:28\n"
+        "verified: the maximal cliques of size 9 are the 28 pencils, and none is larger\n")
+    assert onan_scans == ["count_onan"]
+
+
+def test_cliques_classify_census_violation_without_onan(h3_json, capsys, onan_scans, monkeypatch):
+    # h3 has no O'Nan configuration, so an "other" clique contradicts the
+    # census lemma
+    _retag_first(monkeypatch, "near_pencil")
+    assert run("cliques", str(h3_json), "--classify") == 1
+    assert capsys.readouterr().out == (
+        "maximal_cliques=1540\n"
+        "sizes=5:1512 9:28\n"
+        "tags=near_pencil:1511 other:1 pencil:28\n"
+        "VIOLATION: 1 cliques are neither pencils of size 9 nor near pencils of size 5\n")
+    assert onan_scans == ["count_onan"]
+
+
+def test_cliques_classify_pencil_claim_violation(bm3_json, capsys, onan_scans, monkeypatch):
+    _retag_first(monkeypatch, "pencil")
+    assert run("cliques", str(bm3_json), "--classify") == 1
+    assert capsys.readouterr().out == (
+        "maximal_cliques=2512\n"
+        "sizes=5:2484 9:28\n"
+        "tags=near_pencil:1512 other:973 pencil:27\n"
+        "VIOLATION: maximal cliques of size 9 or more: 27 pencils, 1 others; "
+        "expected the 28 pencils alone\n")
+    assert onan_scans == []
 
 
 def _onan_stdout(S, limit=0):
@@ -462,6 +531,28 @@ def test_closed_stdout_is_an_io_error(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setattr("sys.stdout", _ClosedStdout())
     assert run(*argv) == 2
     assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_conic_deletion_needs_the_canonical_plane(tmp_path, capsys):
+    conic = tmp_path / "pg3-conic.json"
+    assert run("build", "puncture", "--q", "3", "--delete", "conic", "-o", str(conic)) == 0
+    assert run("build", "puncture", "--q", "3", "--in", str(conic), "--delete", "conic") == 2
+    assert capsys.readouterr() == (
+        "", "error: --delete conic requires the canonical pg plane of order q\n")
+
+
+@pytest.mark.parametrize("command, content, position", [
+    ("srg", b'{"format": "incidence-v1", \xff}', 27),
+    ("reconstruct", b"c x\n\xffp edge 3 0\n", 4),
+], ids=["json", "dimacs"])
+def test_undecodable_file_is_usage_error(tmp_path, capsys, command, content, position):
+    # UnicodeDecodeError is a ValueError: exit 2, one stderr line
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    assert run(command, str(path)) == 2
+    assert capsys.readouterr() == (
+        "", f"error: 'utf-8' codec can't decode byte 0xff in position {position}: "
+            "invalid start byte\n")
 
 
 def test_bad_json_is_usage_error(tmp_path):

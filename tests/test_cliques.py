@@ -2,12 +2,14 @@
 
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from support import (
     GraphTooLarge,
     block_sets,
+    buekenhout_metz_unital,
     classify_clique_oracle,
     naive_maximal_cliques,
     near_pencil,
@@ -21,15 +23,22 @@ from unitals.cliques import (
     enumerate_maximal_cliques,
     max_clique_size,
 )
-from unitals.confluence import ConfluenceGraph, build_confluence
-from unitals.errors import MalformedStructure, NotAClique
+from unitals.confluence import (
+    ConfluenceGraph,
+    build_confluence,
+    expected_unital_params,
+    srg_check,
+)
+from unitals.errors import GeometryError
 from unitals.incidence import (
     IncidenceStructure,
     affine_plane,
     conic_points,
+    count_onan,
     hermitian_unital,
     projective_plane,
     puncture,
+    validate_unital,
 )
 
 
@@ -201,7 +210,8 @@ def test_classify_rejects_non_clique(h3):
                 break
         if disjoint:
             break
-    with pytest.raises(NotAClique):
+    with pytest.raises(GeometryError,
+                       match=rf"^blocks {disjoint[0]} and {disjoint[1]} are disjoint$"):
         classify_clique(h3, disjoint)
 
 
@@ -255,7 +265,8 @@ def test_classify_agrees_with_oracle(name):
 def test_classify_skips_an_apex_with_a_missing_join(num_points, blocks, clique,
                                                     skipped, found):
     S = IncidenceStructure(num_points, blocks)
-    with pytest.raises(MalformedStructure):
+    with pytest.raises(GeometryError, match=rf"^no unique block joins {skipped[0]} and \d+; "
+                                            r"not a linear space$"):
         near_pencil(S, *skipped)
     result = classify_clique(S, clique)
     assert (result.tag, result.point, result.line) == ("near_pencil", *found)
@@ -279,8 +290,8 @@ def _random_structure(rng):
 def _outcome(classify, S, clique):
     try:
         return classify(S, clique)
-    except NotAClique as exc:
-        return f"NotAClique: {exc}"
+    except GeometryError as exc:
+        return f"not a clique: {exc}"
 
 
 def test_classify_agrees_with_oracle_on_random_structures():
@@ -295,11 +306,11 @@ def test_classify_agrees_with_oracle_on_random_structures():
         for clique in enumerate_maximal_cliques(build_confluence(S)) + subsets:
             fast = _outcome(classify_clique, S, clique)
             assert fast == _outcome(classify_clique_oracle, S, clique), (k, clique)
-            seen.add("NotAClique" if isinstance(fast, str) else (fast.tag, fast.size > 3))
+            seen.add("not a clique" if isinstance(fast, str) else (fast.tag, fast.size > 3))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
     # the sweep reaches every branch of the tagger
-    assert seen == {"NotAClique", *((tag, big) for tag in ("pencil", "near_pencil", "other")
+    assert seen == {"not a clique", *((tag, big) for tag in ("pencil", "near_pencil", "other")
                                       for big in (False, True))}, seen
 
 
@@ -308,11 +319,43 @@ def test_classify_rejects_non_clique_like_the_oracle(h3):
     through_0 = h3.point_blocks[0]
     disjoint = next(i for i, b in enumerate(sets) if not b & sets[through_0[0]])
     clique = (*through_0[:3], disjoint)
-    with pytest.raises(NotAClique) as fast:
+    with pytest.raises(GeometryError, match=r"^blocks \d+ and \d+ are disjoint$") as fast:
         classify_clique(h3, clique)
-    with pytest.raises(NotAClique) as slow:
+    with pytest.raises(GeometryError) as slow:
         classify_clique_oracle(h3, clique)
     assert str(fast.value) == str(slow.value)
+
+
+# --- a non-Hermitian unital ---
+
+@pytest.mark.parametrize("alpha", range(9))
+def test_buekenhout_metz_sets(alpha):
+    # alpha = 4, 5, 7, 8 give unitals of order 3, each with 324 O'Nan
+    # configurations (a Hermitian unital has none, O'Nan 1972)
+    S = buekenhout_metz_unital(alpha)
+    if alpha in (4, 5, 7, 8):
+        assert (S.num_points, len(S.blocks)) == (28, 63)
+        assert validate_unital(S) == 3
+        assert count_onan(S) == 324
+    else:
+        assert (S.num_points, len(S.blocks)) == (28, 9)
+        assert validate_unital(S) is None
+
+
+def test_buekenhout_metz_unital_cliques():
+    # the general claim holds, the Hermitian census does not: 972 maximal
+    # cliques of size 5 are neither pencils nor near pencils
+    bm3 = buekenhout_metz_unital(4)
+    G = build_confluence(bm3)
+    assert srg_check(G) == expected_unital_params(3)
+    assert max_clique_size(G) == 9
+    found = enumerate_maximal_cliques(G)
+    assert len(found) == 2512
+    assert Counter(len(c) for c in found) == {5: 2484, 9: 28}
+    tagged = [classify_clique(bm3, c) for c in found]
+    assert Counter((t.tag, t.size) for t in tagged) == {
+        ("pencil", 9): 28, ("near_pencil", 5): 1512, ("other", 5): 972}
+    assert sorted(t.point for t in tagged if t.tag == "pencil") == list(range(28))
 
 
 # --- star property ---

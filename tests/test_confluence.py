@@ -1,5 +1,6 @@
 """Confluence graphs, strong regularity, the ratio bound, DIMACS."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from unitals.confluence import (
     read_dimacs,
     srg_check,
 )
-from unitals.errors import FormatError, NonNegativeSmallestEigenvalue
+from unitals.errors import GeometryError
 from unitals.incidence import (
     IncidenceStructure,
     affine_plane,
@@ -175,7 +176,7 @@ def test_hoffman_bound_examples():
 
 def test_hoffman_bound_rejects_nonnegative_s():
     silly = SrgParams(v=1, k=2, lam=3, mu=2, r=1, s=0)
-    with pytest.raises(NonNegativeSmallestEigenvalue):
+    with pytest.raises(GeometryError, match="^s = 0 is not negative$"):
         hoffman_bound(silly)
 
 
@@ -209,24 +210,40 @@ def test_dimacs_reader_accepts_comments_and_blanks(tmp_path):
     assert G.n == 3 and len(G.edges()) == 2
 
 
-@pytest.mark.parametrize("text", [
-    "e 1 2\n",                       # edge before header
-    "p edge 3\n",                    # malformed header
-    "p edge 3 1\ne 1 4\n",           # endpoint out of range
-    "p edge 3 1\ne 2 2\n",           # self loop
-    "p edge 3 2\ne 1 2\n",           # edge count mismatch
-    "p edge 3 1\nq 1 2\n",           # unknown line type
-    "p edge 3 0\np edge 3 0\n",      # repeated header
-    "p edge 3 2\ne 1 2\ne 1 2\n",      # duplicate edge
-    "p edge 3 1\ne 2 1\n",           # reversed endpoints
-    "p edge 3 2\ne 2 3\ne 1 2\n",      # edges out of order
-    "carrot 1 2\np edge 3 0\n",     # first token is not exactly "c"
-    "p edge 3 1\nc late\ne 1 2\n",   # comment after the header
-])
+# each malformed file with its message
+_DIMACS_REJECTIONS = {
+    # edge before header
+    "e 1 2\n": "line 1: edge before problem line",
+    # malformed header
+    "p edge 3\n": "line 1: malformed problem line",
+    # endpoint out of range
+    "p edge 3 1\ne 1 4\n": "line 2: edge (1, 4) is not 1 <= i < j <= 3",
+    # self loop
+    "p edge 3 1\ne 2 2\n": "line 2: edge (2, 2) is not 1 <= i < j <= 3",
+    # edge count mismatch
+    "p edge 3 2\ne 1 2\n": "header announces 2 edges, file has 1",
+    # unknown line type
+    "p edge 3 1\nq 1 2\n": "line 2: unknown line type 'q'",
+    # repeated header
+    "p edge 3 0\np edge 3 0\n": "line 2: repeated problem line",
+    # duplicate edge
+    "p edge 3 2\ne 1 2\ne 1 2\n": "line 3: edge (1, 2) is not after the previous edge (1, 2)",
+    # reversed endpoints
+    "p edge 3 1\ne 2 1\n": "line 2: edge (2, 1) is not 1 <= i < j <= 3",
+    # edges out of order
+    "p edge 3 2\ne 2 3\ne 1 2\n": "line 3: edge (1, 2) is not after the previous edge (2, 3)",
+    # first token is not exactly "c"
+    "carrot 1 2\np edge 3 0\n": "line 1: unknown line type 'carrot'",
+    # comment after the header
+    "p edge 3 1\nc late\ne 1 2\n": "line 2: comment after the problem line",
+}
+
+
+@pytest.mark.parametrize("text", _DIMACS_REJECTIONS)
 def test_dimacs_reader_rejects(text, tmp_path):
     path = tmp_path / "bad.dimacs"
     path.write_text(text)
-    with pytest.raises(FormatError):
+    with pytest.raises(GeometryError, match=f"^{re.escape(_DIMACS_REJECTIONS[text])}$"):
         read_dimacs(path)
 
 
@@ -234,7 +251,7 @@ def test_dimacs_reader_rejects(text, tmp_path):
 def test_dimacs_reader_rejects_negative_sizes(header, tmp_path):
     path = tmp_path / "bad.dimacs"
     path.write_text(f"c sizes\n{header}\n")
-    with pytest.raises(FormatError, match="^line 2: negative sizes$"):
+    with pytest.raises(GeometryError, match="^line 2: negative sizes$"):
         read_dimacs(path)
 
 

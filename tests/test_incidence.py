@@ -1,6 +1,7 @@
 """Incidence structures: constructions, searches, serialization."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -10,12 +11,7 @@ from hypothesis import strategies as st
 from support import block_sets, linearity_oracle, near_pencil, pair_coverage, pg_data_oracle
 
 from unitals.algebra import field_create, prime_power
-from unitals.errors import (
-    FormatError,
-    InvalidPointSet,
-    MalformedStructure,
-    NotPrimePower,
-)
+from unitals.errors import GeometryError
 from unitals.incidence import (
     IncidenceStructure,
     OnanConfiguration,
@@ -49,7 +45,7 @@ def test_constructor_normalizes_and_sorts():
     ([[0, 1], [1, 0]], "duplicate"),
 ])
 def test_constructor_rejects_malformed(blocks, msg):
-    with pytest.raises(MalformedStructure, match=msg):
+    with pytest.raises(GeometryError, match=msg):
         IncidenceStructure(4, blocks)
 
 
@@ -152,7 +148,7 @@ def test_pg_lines_match_incidence_test(q):
 
 
 def test_projective_plane_rejects_non_prime_power():
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(GeometryError, match="^6 is not a prime power$"):
         projective_plane(6)
 
 
@@ -221,7 +217,7 @@ def test_puncture_of_linear_space_stays_single_covered(cut):
 
 
 def test_puncture_rejects_bad_point_set(pg3):
-    with pytest.raises(InvalidPointSet):
+    with pytest.raises(GeometryError, match=r"^deleted set not within 0\.\.12$"):
         puncture(pg3, {0, 99})
 
 
@@ -245,7 +241,7 @@ def test_hermitian_q2_is_affine_plane_of_order_3(h2):
 
 
 def test_hermitian_rejects_non_prime_power():
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(GeometryError, match="^6 is not a prime power$"):
         hermitian_unital(6)
 
 
@@ -424,26 +420,45 @@ def test_json_round_trip(h3, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda d: d.update(format="incidence-v2"),
-    lambda d: d.pop("format"),
-    lambda d: d.update(num_points="nine"),
-    lambda d: d["blocks"].__setitem__(0, [2, 1]),          # not increasing
-    lambda d: d["blocks"].__setitem__(0, [0, 99]),         # out of range
-    lambda d: d["blocks"].sort(reverse=True),              # outer order broken
-    lambda d: d["blocks"].append(d["blocks"][-1]),         # duplicate
-    lambda d: d.update(labels=["x"]),                      # wrong label count
-    lambda d: (d.update(num_points=True, blocks=[]), d.pop("labels")),  # bool count
-    lambda d: d["blocks"].__setitem__(0, [False, True]),   # bool points
-])
+# each change to the AG(2,2) dict with the reader's message
+_JSON_REJECTIONS = {
+    (lambda d: d.update(format="incidence-v2")):
+        'missing or wrong "format" key (want "incidence-v1")',
+    (lambda d: d.pop("format")):
+        'missing or wrong "format" key (want "incidence-v1")',
+    (lambda d: d.update(num_points="nine")):
+        '"num_points" must be a non-negative integer',
+    # not increasing
+    (lambda d: d["blocks"].__setitem__(0, [2, 1])): "block [2, 1] is not strictly increasing",
+    # out of range
+    (lambda d: d["blocks"].__setitem__(0, [0, 99])): "block [0, 99] out of range",
+    # outer order broken
+    (lambda d: d["blocks"].sort(reverse=True)):
+        "blocks are not sorted lexicographically without duplicates",
+    # duplicate
+    (lambda d: d["blocks"].append(d["blocks"][-1])):
+        "blocks are not sorted lexicographically without duplicates",
+    # wrong label count
+    (lambda d: d.update(labels=["x"])):
+        '"labels" must be an array of strings of length num_points',
+    # bool count
+    (lambda d: (d.update(num_points=True, blocks=[]), d.pop("labels"))):
+        '"num_points" must be a non-negative integer',
+    # bool points
+    (lambda d: d["blocks"].__setitem__(0, [False, True])):
+        "block [False, True] is not an array of integers",
+}
+
+
+@pytest.mark.parametrize("mangle", _JSON_REJECTIONS)
 def test_json_reader_rejects_violations(mangle):
     good = to_json_dict(affine_plane(2))
     mangle(good)
-    with pytest.raises(FormatError):
+    with pytest.raises(GeometryError, match=f"^{re.escape(_JSON_REJECTIONS[mangle])}$"):
         from_json_dict(good)
 
 
 def test_json_reader_rejects_short_block():
     data = {"format": "incidence-v1", "num_points": 3, "blocks": [[1]]}
-    with pytest.raises(MalformedStructure):
+    with pytest.raises(GeometryError, match=r"^block \(1,\) has fewer than 2 points$"):
         from_json_dict(data)
