@@ -305,9 +305,7 @@ def cmd_classify_linspace(args) -> int:
             "deleted": list(w.deleted),
         }
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _emit(inc._json_text(payload) + "\n", args.json)
     return 0
 
 

@@ -4,7 +4,9 @@ The confluence graph of an incidence structure has one vertex per block;
 two vertices are adjacent iff their blocks share a point. Adjacency is
 stored as one bitset row (a Python int) per vertex; build_confluence takes
 the rows from the structure's cached ``block_rows``, the library's one
-block-adjacency table (see unitals.incidence).
+block-adjacency table (see unitals.incidence). The constructor checks
+symmetry by transposing the rows once, through their n-bit strings, and
+comparing each row with its column.
 
 For a unital of order q the graph is strongly regular with parameters
     v = q^2 (q^2 - q + 1),  k = (q+1)^2 (q-1),
@@ -45,9 +47,17 @@ class ConfluenceGraph:
                 raise ValueError(f"row {i} has bits outside 0..{n - 1}")
             if row >> i & 1:
                 raise ValueError(f"vertex {i} is self-adjacent")
-        for i in range(n):
-            for j in _bits(rows[i]):
-                if not rows[j] >> i & 1:
+        # transpose once: bit i of column j is bit j of row i. The n-bit
+        # strings of rows n-1..0, zipped, give the columns from n-1 down.
+        width = f"0{n}b"
+        strings = [format(row, width) for row in reversed(rows)]
+        cols = [int("".join(col), 2) for col in zip(*strings)][::-1]
+        if cols != list(rows):
+            # the first row with a bit its column lacks, at the lowest such bit
+            for i, (row, col) in enumerate(zip(rows, cols)):
+                lone = row & ~col
+                if lone:
+                    j = (lone & -lone).bit_length() - 1
                     raise ValueError(f"adjacency not symmetric at ({i}, {j})")
         self.n = n
         self.rows = tuple(rows)
@@ -66,7 +76,8 @@ class ConfluenceGraph:
         return self.rows[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in _bits(self.rows[i]) if i < j]
+        return [(i, j) for i, row in enumerate(self.rows)
+                for j in _bits(row >> (i + 1) << (i + 1))]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConfluenceGraph)
@@ -181,10 +192,9 @@ def infer_order(G: ConfluenceGraph) -> int | None:
 def format_dimacs(G: ConfluenceGraph, comments: tuple[str, ...] = ()) -> str:
     """DIMACS text of G: comment lines, the problem line, sorted edges."""
     edges = G.edges()
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p edge {G.n} {len(edges)}")
-    lines.extend(f"e {i + 1} {j + 1}" for i, j in edges)
-    return "\n".join(lines) + "\n"
+    names = [str(v) for v in range(1, G.n + 1)]  # the 1-based vertex numbers
+    head = "".join(f"c {c}\n" for c in comments) + f"p edge {G.n} {len(edges)}\n"
+    return head + "".join([f"e {names[i]} {names[j]}\n" for i, j in edges])
 
 
 def read_dimacs(path) -> ConfluenceGraph:

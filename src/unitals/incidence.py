@@ -28,7 +28,12 @@ configuration line carries exactly 3 of the points and every point lies
 on exactly 2 of the lines.
 
 Serialization: the ``incidence-v1`` JSON format (see read_json, and
-format_json, the one writer, whose text the CLI emits).
+format_json, the one writer, whose text the CLI emits). format_json
+writes the text itself, byte for byte what json.dumps(..., indent=1)
+writes, without that pure-Python encoder; the same private writer
+writes the ``classify-linspace --json`` report. The reader and the
+constructor check all blocks in whole-list passes, and walk the blocks
+one at a time only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Field, field_create, prime_power
@@ -49,6 +57,11 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _increasing(seq: Sequence) -> bool:
+    """Whether each item of seq is less than the next."""
+    return all(map(lt, seq, seq[1:]))
 
 
 def _common(masks: Sequence[int], indices: Iterable[int]) -> int:
@@ -74,20 +87,21 @@ class IncidenceStructure:
                  labels: Sequence[str] | None = None):
         if num_points < 0:
             raise GeometryError("negative point count")
-        norm = []
-        for raw in blocks:
-            block = tuple(sorted(raw))
-            if len(block) < 2:
-                raise GeometryError(f"block {block} has fewer than 2 points")
-            if any(block[i] == block[i + 1] for i in range(len(block) - 1)):
-                raise GeometryError(f"block {block} repeats a point")
-            if block[0] < 0 or block[-1] >= num_points:
-                raise GeometryError(f"block {block} out of range 0..{num_points - 1}")
-            norm.append(block)
+        norm = [tuple(sorted(raw)) for raw in blocks]
+        if not (min(map(len, norm), default=2) >= 2 and all(map(_increasing, norm))
+                and min(map(itemgetter(0), norm), default=0) >= 0
+                and max(map(itemgetter(-1), norm), default=-1) < num_points):
+            for block in norm:  # name the first bad block
+                if len(block) < 2:
+                    raise GeometryError(f"block {block} has fewer than 2 points")
+                if not _increasing(block):
+                    raise GeometryError(f"block {block} repeats a point")
+                if block[0] < 0 or block[-1] >= num_points:
+                    raise GeometryError(f"block {block} out of range 0..{num_points - 1}")
         norm.sort()
-        for i in range(len(norm) - 1):
-            if norm[i] == norm[i + 1]:
-                raise GeometryError(f"duplicate block {norm[i]}")
+        if not _increasing(norm):
+            twin = next(a for a, b in pairwise(norm) if a == b)
+            raise GeometryError(f"duplicate block {twin}")
         self.num_points = num_points
         self.blocks: tuple[tuple[int, ...], ...] = tuple(norm)
         if labels is not None:
@@ -420,16 +434,18 @@ def from_json_dict(data: dict) -> IncidenceStructure:
     blocks = data.get("blocks")
     if not isinstance(blocks, list):
         raise GeometryError('"blocks" must be an array')
-    for block in blocks:
-        if not isinstance(block, list) or not all(type(x) is int for x in block):
-            raise GeometryError(f"block {block!r} is not an array of integers")
-        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
-            raise GeometryError(f"block {block} is not strictly increasing")
-        if block and (block[0] < 0 or block[-1] >= n):
-            raise GeometryError(f"block {block} out of range")
-    for i in range(len(blocks) - 1):
-        if blocks[i] >= blocks[i + 1]:
-            raise GeometryError("blocks are not sorted lexicographically without duplicates")
+    int_lists = set(map(type, blocks)) <= {list} and set(map(type, chain(*blocks))) <= {int}
+    if not (int_lists and all(map(_increasing, blocks))
+            and min(chain(*blocks), default=0) >= 0 and max(chain(*blocks), default=-1) < n):
+        for block in blocks:  # name the first bad block
+            if not isinstance(block, list) or not all(type(x) is int for x in block):
+                raise GeometryError(f"block {block!r} is not an array of integers")
+            if not _increasing(block):
+                raise GeometryError(f"block {block} is not strictly increasing")
+            if block and (block[0] < 0 or block[-1] >= n):
+                raise GeometryError(f"block {block} out of range")
+    if not _increasing(blocks):
+        raise GeometryError("blocks are not sorted lexicographically without duplicates")
     labels = data.get("labels")
     if labels is not None:
         if (not isinstance(labels, list) or len(labels) != n
@@ -440,7 +456,47 @@ def from_json_dict(data: dict) -> IncidenceStructure:
 
 def format_json(S: IncidenceStructure) -> str:
     """incidence-v1 text of S, one-space indented, with a final newline."""
-    return json.dumps(to_json_dict(S), indent=1) + "\n"
+    return _json_text(to_json_dict(S)) + "\n"
+
+
+def _json_text(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=1) writes it, at the depth whose
+    lines start with pad. Takes dict (with str keys), list, int, str and
+    None, and raises TypeError on any other type, bool included. A list
+    of ints, of strs or of non-empty int lists is written without a call
+    per item."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    inner = pad + " "
+    if kind is list:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        elif kinds == {list} and all(value) and set(map(type, chain(*value))) == {int}:
+            deeper = inner + " "  # non-empty rows of ints, such as blocks
+            head, sep, tail = "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]"
+            items = [head + sep.join(map(int.__repr__, item)) + tail for item in value]
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise TypeError("keys must be str")
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def read_json(path) -> IncidenceStructure:

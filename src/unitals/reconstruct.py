@@ -226,8 +226,8 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
 
     def pick() -> int | None:
         # the highest-scored unassigned point, lowest index on ties
-        p = max(range(n), key=score.__getitem__, default=None)
-        return None if p is None or score[p] < 0 else p
+        best = max(score, default=-1)
+        return None if best < 0 else score.index(best)
 
     def candidates(p: int):
         mask = of_color[colors1[p]] & ~used

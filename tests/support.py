@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic graph sweep and tiny oracles."""
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -9,7 +10,7 @@ from unitals.algebra import field_create
 from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError
-from unitals.incidence import IncidenceStructure, _pg_data
+from unitals.incidence import IncidenceStructure, _bits, _pg_data, to_json_dict
 from unitals.linspace import complete_to_plane
 
 
@@ -23,6 +24,67 @@ def lcg(seed: int):
     while True:
         x = (1103515245 * x + 12345) % (1 << 31)
         yield x
+
+
+def graph_rejection_oracle(n: int, rows) -> str | None:
+    """The message ConfluenceGraph(n, rows) rejects rows with, or None,
+    with symmetry checked by the per-edge walk: every edge is looked up
+    from both ends. The reference for the transposed symmetry check."""
+    if len(rows) != n:
+        return "adjacency row count differs from n"
+    mask = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row & ~mask:
+            return f"row {i} has bits outside 0..{n - 1}"
+        if row >> i & 1:
+            return f"vertex {i} is self-adjacent"
+    for i in range(n):
+        for j in _bits(rows[i]):
+            if not rows[j] >> i & 1:
+                return f"adjacency not symmetric at ({i}, {j})"
+    return None
+
+
+def edges_oracle(G: ConfluenceGraph) -> list[tuple[int, int]]:
+    """Every edge (i, j), i < j, ascending, by walking all the bits of
+    each row and keeping those above the diagonal."""
+    return [(i, j) for i in range(G.n) for j in _bits(G.rows[i]) if i < j]
+
+
+def format_dimacs_oracle(G: ConfluenceGraph, comments: tuple[str, ...] = ()) -> str:
+    """DIMACS text of G, one line at a time: the reference for format_dimacs."""
+    edges = edges_oracle(G)
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p edge {G.n} {len(edges)}")
+    lines.extend(f"e {i + 1} {j + 1}" for i, j in edges)
+    return "\n".join(lines) + "\n"
+
+
+def format_json_oracle(S: IncidenceStructure) -> str:
+    """incidence-v1 text of S by the standard library's encoder: the
+    reference for format_json."""
+    return json.dumps(to_json_dict(S), indent=1) + "\n"
+
+
+def block_rejection_oracle(num_points: int, blocks) -> str | None:
+    """The message IncidenceStructure(num_points, blocks) rejects its
+    blocks with, or None, by checking one block at a time: the reference
+    for the constructor's whole-list checks."""
+    norm = []
+    for raw in blocks:
+        block = tuple(sorted(raw))
+        if len(block) < 2:
+            return f"block {block} has fewer than 2 points"
+        if any(block[i] == block[i + 1] for i in range(len(block) - 1)):
+            return f"block {block} repeats a point"
+        if block[0] < 0 or block[-1] >= num_points:
+            return f"block {block} out of range 0..{num_points - 1}"
+        norm.append(block)
+    norm.sort()
+    for i in range(len(norm) - 1):
+        if norm[i] == norm[i + 1]:
+            return f"duplicate block {norm[i]}"
+    return None
 
 
 def sweep_graph(i: int) -> ConfluenceGraph:

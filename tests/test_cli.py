@@ -81,6 +81,17 @@ def test_graph_and_reconstruct_roundtrip(tmp_path, h3_json):
     assert validate_unital(read_json(rebuilt)) == 3
 
 
+def test_graph_and_reconstruct_roundtrip_on_a_non_hermitian_unital(tmp_path, bm3_json, capsys):
+    dimacs = tmp_path / "bm3.dimacs"
+    assert run("graph", str(bm3_json), "-o", str(dimacs)) == 0
+    rebuilt = tmp_path / "rebuilt.json"
+    capsys.readouterr()
+    assert run("reconstruct", str(dimacs), "-o", str(rebuilt), "--verify", str(bm3_json)) == 0
+    assert capsys.readouterr().out == (
+        "reconstructed unital of order 3: 28 points, 63 blocks\n"
+        "verified: isomorphic to the target structure\n")
+
+
 def test_graph_output_deterministic(tmp_path, h3_json):
     a, b = tmp_path / "a.dimacs", tmp_path / "b.dimacs"
     run("graph", str(h3_json), "-o", str(a))
@@ -334,6 +345,21 @@ def test_classify_linspace_embed_json(tmp_path):
     assert payload["embedding"]["host"]["num_points"] == 13
     assert len(payload["embedding"]["deleted"]) == 4
     assert len(payload["embedding"]["point_map"]) == 9
+
+
+@pytest.mark.parametrize("spec, flags", [
+    ("line", ()),
+    ("line-swap", ()),
+    ("conic", ()),
+    ("conic", ("--embed",)),
+])
+def test_classify_linspace_report_is_the_stdlib_encoding(tmp_path, spec, flags):
+    path = tmp_path / "d.json"
+    run("build", "puncture", "--q", "3", "--delete", spec, "-o", str(path))
+    report = tmp_path / "report.json"
+    assert run("classify-linspace", str(path), "--q", "3", *flags, "--json", str(report)) == 0
+    raw = report.read_text(encoding="utf-8")
+    assert raw == json.dumps(json.loads(raw), indent=1) + "\n"
 
 
 def test_classify_linspace_rejects_plane(tmp_path):

@@ -358,6 +358,17 @@ def test_buekenhout_metz_unital_cliques():
     assert sorted(t.point for t in tagged if t.tag == "pencil") == list(range(28))
 
 
+def test_networkx_agrees_on_buekenhout_metz_unital():
+    nx = pytest.importorskip("networkx")
+    G = build_confluence(buekenhout_metz_unital(4))
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    found = enumerate_maximal_cliques(G)
+    assert len(found) == 2512
+    assert sorted(tuple(sorted(c)) for c in nx.find_cliques(H)) == found
+
+
 # --- star property ---
 
 def test_star_property_on_pencils(h3):

@@ -1,5 +1,6 @@
 """Confluence graphs, strong regularity, the ratio bound, DIMACS."""
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import block_sets
+from support import (
+    block_sets,
+    edges_oracle,
+    format_dimacs_oracle,
+    graph_rejection_oracle,
+)
 
 from unitals.confluence import (
     ConfluenceGraph,
@@ -160,6 +166,76 @@ def test_graph_constructor_names_each_rejection(n, rows, message):
     with pytest.raises(ValueError) as excinfo:
         ConfluenceGraph(n, rows)
     assert str(excinfo.value) == message
+
+
+def _seeded_rows(seed: int) -> tuple[int, list[int]]:
+    """n and rows for ConfluenceGraph: a random symmetric graph on 0..40
+    vertices, then, by the seed, nothing or up to three faults among a
+    flipped bit, a bit at n, a self-loop and a dropped row."""
+    rng = random.Random(seed)
+    n = rng.randrange(41)
+    density = rng.random()
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    for _ in range(rng.randrange(4) if n else 0):
+        fault = rng.randrange(8)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if fault < 5 and i != j:
+            rows[i] ^= 1 << j
+        elif fault == 5:
+            rows[i] |= 1 << (n + rng.randrange(3))
+        elif fault == 6:
+            rows[i] |= 1 << i
+        else:
+            rows.pop()
+            break
+    return n, rows
+
+
+def _verdict(n: int, rows: list[int]) -> str | None:
+    """The message ConfluenceGraph(n, rows) raises, or None when it accepts
+    the rows, whose edges and DIMACS text must then match the oracles."""
+    try:
+        G = ConfluenceGraph(n, rows)
+    except ValueError as exc:
+        return str(exc)
+    assert G.rows == tuple(rows)
+    assert G.edges() == edges_oracle(G)
+    assert format_dimacs(G, ("c", "")) == format_dimacs_oracle(G, ("c", ""))
+    return None
+
+
+def test_graph_constructor_agrees_with_per_edge_walk():
+    verdicts = [graph_rejection_oracle(*_seeded_rows(seed)) for seed in range(400)]
+    assert [_verdict(*_seeded_rows(seed)) for seed in range(400)] == verdicts
+    # every branch is taken: acceptance and each of the four messages
+    assert {re.sub(r"\d+", "#", v or "accepted") for v in verdicts} == {
+        "accepted", "adjacency row count differs from n", "row # has bits outside #..#",
+        "vertex # is self-adjacent", "adjacency not symmetric at (#, #)"}
+
+
+def test_graph_constructor_names_the_first_asymmetry_of_a_unital_graph(cg4):
+    rows = list(cg4.rows)
+    rows[150] ^= 1 << 7  # an edge kept, or added, on one side only
+    rows[40] ^= 1 << 90
+    expected = graph_rejection_oracle(cg4.n, rows)
+    assert expected.startswith("adjacency not symmetric at ")
+    with pytest.raises(ValueError) as excinfo:
+        ConfluenceGraph(cg4.n, rows)
+    assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_dimacs_writer_matches_line_by_line_oracle(q, request):
+    G = request.getfixturevalue(f"cg{q}")
+    assert G.edges() == edges_oracle(G)
+    comments = ("confluence graph", "second comment")
+    assert format_dimacs(G, comments) == format_dimacs_oracle(G, comments)
+    assert format_dimacs(G) == format_dimacs_oracle(G)
 
 
 def test_params_constructor_rejects_wrong_eigenvalues():

@@ -1,5 +1,6 @@
 """Incidence structures: constructions, searches, serialization."""
 
+import json
 import random
 import re
 from collections import Counter
@@ -8,18 +9,28 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import block_sets, linearity_oracle, near_pencil, pair_coverage, pg_data_oracle
+from support import (
+    block_rejection_oracle,
+    block_sets,
+    format_json_oracle,
+    linearity_oracle,
+    near_pencil,
+    pair_coverage,
+    pg_data_oracle,
+)
 
 from unitals.algebra import field_create, prime_power
 from unitals.errors import GeometryError
 from unitals.incidence import (
     IncidenceStructure,
     OnanConfiguration,
+    _json_text,
     _pg_data,
     affine_plane,
     conic_points,
     count_onan,
     find_onan,
+    format_json,
     from_json_dict,
     hermitian_unital,
     projective_plane,
@@ -47,6 +58,38 @@ def test_constructor_normalizes_and_sorts():
 def test_constructor_rejects_malformed(blocks, msg):
     with pytest.raises(GeometryError, match=msg):
         IncidenceStructure(4, blocks)
+
+
+def _seeded_blocks(seed: int) -> tuple[int, list[list[int]]]:
+    """A point count and a block list for IncidenceStructure: random
+    blocks of 0..4 points drawn from a range a little wider than the
+    points, so that short blocks, repeated points, points out of range
+    and repeated blocks all occur, alone and together."""
+    rng = random.Random(seed)
+    n = rng.randrange(8)
+    blocks = [[rng.randrange(-1, n + 1) for _ in range(rng.choice((2, 2, 3, 3, 4, 0, 1)))]
+              for _ in range(rng.randrange(6))]
+    if blocks and rng.random() < 0.3:
+        blocks.append(list(reversed(rng.choice(blocks))))
+    return n, blocks
+
+
+def _constructor_verdict(n: int, blocks) -> str | None:
+    try:
+        S = IncidenceStructure(n, blocks)
+    except GeometryError as exc:
+        return str(exc)
+    assert S.blocks == tuple(sorted(tuple(sorted(b)) for b in blocks))
+    return None
+
+
+def test_constructor_rejections_match_the_per_block_loop():
+    verdicts = [block_rejection_oracle(*_seeded_blocks(seed)) for seed in range(600)]
+    assert [_constructor_verdict(*_seeded_blocks(seed)) for seed in range(600)] == verdicts
+    # every branch is taken: acceptance and each of the four messages
+    assert {re.sub(r"\(.*\)|-?\d+", "#", v or "accepted") for v in verdicts} == {
+        "accepted", "block # has fewer than # points", "block # repeats a point",
+        "block # out of range #..#", "duplicate block #"}
 
 
 def test_validate_projective_plane(pg3):
@@ -447,6 +490,36 @@ _JSON_REJECTIONS = {
     # bool points
     (lambda d: d["blocks"].__setitem__(0, [False, True])):
         "block [False, True] is not an array of integers",
+    # a bool inside an otherwise valid block
+    (lambda d: d["blocks"].__setitem__(1, [0, True])):
+        "block [0, True] is not an array of integers",
+    # a negative point
+    (lambda d: d["blocks"].__setitem__(1, [-1, 2])):
+        "block [-1, 2] out of range",
+    # a float point
+    (lambda d: d["blocks"].__setitem__(1, [0, 1.0])):
+        "block [0, 1.0] is not an array of integers",
+    # a nested list
+    (lambda d: d["blocks"].__setitem__(1, [0, [2]])):
+        "block [0, [2]] is not an array of integers",
+    # a block that is not a list
+    (lambda d: d["blocks"].__setitem__(1, "02")):
+        "block '02' is not an array of integers",
+    # an empty block passes the reader and fails the constructor
+    (lambda d: d["blocks"].insert(0, [])):
+        "block () has fewer than 2 points",
+    # a repeated point
+    (lambda d: d["blocks"].__setitem__(1, [0, 0])):
+        "block [0, 0] is not strictly increasing",
+    # a repeated block inside the list
+    (lambda d: d["blocks"].insert(2, [0, 2])):
+        "blocks are not sorted lexicographically without duplicates",
+    # two blocks swapped
+    (lambda d: d["blocks"].insert(0, d["blocks"].pop(1))):
+        "blocks are not sorted lexicographically without duplicates",
+    # the first faulty block is named, whatever follows it
+    (lambda d: d["blocks"].__setitem__(slice(1, 3), [[0, 9], "x"])):
+        "block [0, 9] out of range",
 }
 
 
@@ -456,6 +529,54 @@ def test_json_reader_rejects_violations(mangle):
     mangle(good)
     with pytest.raises(GeometryError, match=f"^{re.escape(_JSON_REJECTIONS[mangle])}$"):
         from_json_dict(good)
+
+
+_AWKWARD_LABELS = ['"', "\\", "\n", "\t\x00\x7f", "é", "☃", "😀", "\ud800", "", "a b"]
+
+
+def _seeded_structure(seed: int) -> IncidenceStructure:
+    """A random structure of 0..9 points with distinct random blocks, and
+    labels drawn from quotes, backslashes, control and non-ASCII text, or
+    none; with zero points or zero blocks now and then."""
+    rng = random.Random(seed)
+    n = rng.randrange(10)
+    blocks = {tuple(sorted(rng.sample(range(n), rng.randrange(2, n + 1))))
+              for _ in range(rng.randrange(8) if n >= 2 else 0)}
+    labels = None
+    if rng.random() < 0.7:
+        labels = ["".join(rng.choices(_AWKWARD_LABELS, k=rng.randrange(4))) for _ in range(n)]
+    return IncidenceStructure(n, blocks, labels=labels)
+
+
+def test_format_json_matches_stdlib_encoder():
+    structures = [_seeded_structure(seed) for seed in range(300)]
+    structures += [IncidenceStructure(0, []), IncidenceStructure(0, [], labels=[]),
+                   IncidenceStructure(3, []), IncidenceStructure(2, [[0, 1]], ["", ""]),
+                   affine_plane(3), hermitian_unital(3)]
+    assert any(not S.blocks and S.num_points for S in structures)
+    for S in structures:
+        assert format_json(S) == format_json_oracle(S)
+
+
+@pytest.mark.parametrize("value", [
+    {},
+    [],
+    None,
+    -7,
+    "é\n",
+    [[]],
+    [[1, 2], []],
+    {"é": ["☃", 1, None, [], {}, ["x", 2], [[3]]], "k": "\"\\\t😀"},
+    {"embedding": {"host": {"blocks": [[0, 1]]}, "deleted": [4, 5]}, "thin_point": None},
+])
+def test_json_writer_matches_stdlib_on_mixed_values(value):
+    assert _json_text(value) == json.dumps(value, indent=1)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, (1, 2), [0, False], {1: 2}, {"a": {3}}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 def test_json_reader_rejects_short_block():

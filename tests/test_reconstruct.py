@@ -9,6 +9,7 @@ import pytest
 from support import (
     block_sets,
     brute_force_isomorphic,
+    buekenhout_metz_unital,
     double_edge_swap,
     joint_partition,
     linearity_oracle,
@@ -363,6 +364,17 @@ def test_reconstruct_unital3(h3, cg3):
     witness = isomorphic(rec.structure, h3)
     assert witness is not None
     _check_witness(rec.structure, h3, witness)
+
+
+def test_reconstruct_non_hermitian_unital():
+    # the confluence graph determines every unital, not only the Hermitian
+    # ones: the Buekenhout-Metz unital of order 3 has O'Nan configurations
+    bm3 = buekenhout_metz_unital(4)
+    rec = reconstruct_unital(build_confluence(bm3))
+    assert rec.q == 3 and not rec.via_q2_shortcut
+    witness = isomorphic(rec.structure, bm3)
+    assert witness is not None
+    _check_witness(rec.structure, bm3, witness)
 
 
 def test_reconstruct_q2_shortcut(h2, cg2):
