@@ -20,7 +20,8 @@ used to verify these claims; it never consults clique or graph
 machinery. It colors the points of both structures by refinement, which
 splits cells only against the cells that just split (so a structure
 whose first coloring has one cell is done at once), then backtracks
-within the color classes.
+within the color classes: a point on two claimed blocks goes first, and
+a block claims a host only if no image of another point lies on it.
 """
 
 from __future__ import annotations
@@ -153,17 +154,20 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
 
     Each block's hosts start as the S2 blocks of its size and are ANDed
     with the pencils of its assigned images; a block is claimed when one
-    host is left. Two blocks may claim one host: no bijection completes
-    that branch, as it would give both blocks one image. A point's
-    candidates are its unused S2 points of its color on the host of each
-    claimed block through it; a candidate on no host of another touched
-    block is rejected on assignment, as that block's hosts AND to 0.
-    Backtracking is deterministic: most claimed, then most touched point
-    first, lowest index on ties; candidates ascending. The pick scores
-    are kept up to date on assign and undo, never recomputed.
+    host is left. A block b claims host H only if the images on H are
+    exactly those of b's assigned points: a bijection that carries b onto
+    H carries no other point into H. A point's candidates are its unused
+    S2 points of its color on the host of each claimed block through it; a
+    candidate on no host of another touched block is rejected on
+    assignment, as that block's hosts AND to 0. Backtracking is
+    deterministic, candidates ascending; the next point is the lowest free
+    one in the first non-empty tier of: points on two claimed blocks (the
+    image is a meet of hosts), points on claimed blocks none of which
+    holds three assigned points, points on no claimed block, any free
+    point. The tiers are bitsets kept on assign and restored on undo.
     """
     n = S1.num_points
-    pb1, blocks1 = S1.point_blocks, S1.blocks
+    pb1, bm1 = S1.point_blocks, S1.block_masks
     pm2, bm2 = S2.pencil_masks, S2.block_masks
     of_color: dict[int, int] = {}  # S2 points of each color
     for x, c in enumerate(colors2):
@@ -171,63 +175,55 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     of_size: dict[int, int] = {}  # S2 blocks of each size
     for i, block in enumerate(S2.blocks):
         of_size[len(block)] = of_size.get(len(block), 0) | 1 << i
-    hosts = [of_size[len(b)] for b in blocks1]
+    hosts = [of_size[len(b)] for b in S1.blocks]
     sigma: list[int | None] = [None] * n
-    assigned_in = [0] * len(blocks1)  # assigned points per S1 block
-    used = 0                          # S2 points taken
-    # a block weighs 0 untouched, 1 touched and wide claimed, so a point's
-    # score, the sum over the blocks through it, orders like (claimed
-    # blocks, touched blocks) through it; an assigned point's score is
-    # lowered by `assigned`, which puts it below every unassigned one
-    wide = max(map(len, pb1), default=0) + 2
-    assigned = wide * wide
-    score = [0] * n
+    assigned_in = [0] * len(hosts)  # assigned points per S1 block
+    used = 0                        # S2 points taken
+    # S1 points: free ones, those on one and on two claimed blocks, and
+    # those on a claimed block holding three or more assigned points
+    free, on1, on2, heavy = (1 << n) - 1, 0, 0, 0
 
     def try_assign(p: int, h: int):
         """Apply sigma[p] = h; return its undo record, or None when a block
-        through p is left without a host."""
-        nonlocal used
-        gains: list = []  # (points of a block, gain of its weight)
-        record = [(b, hosts[b]) for b in pb1[p]], gains
+        through p is left without a host or claims one holding another
+        image."""
+        nonlocal used, free, on1, on2, heavy
+        record = [(b, hosts[b]) for b in pb1[p]], on1, on2, heavy
         sigma[p] = h
         used |= 1 << h
+        free ^= 1 << p
         for b in pb1[p]:
             assigned_in[b] += 1
         for b, old in record[0]:
             new = hosts[b] = old & pm2[h]
-            first = assigned_in[b] == 1
-            if not new:
-                undo(p, h, record)
-                return None
             if new & (new - 1):
-                if first:
-                    gains.append((blocks1[b], 1))
-            elif new != old or first:  # claimed just now
-                gains.append((blocks1[b], wide if first else wide - 1))
-        rescore(p, gains, 1)
+                continue
+            k = assigned_in[b]
+            if new != old or k == 1:  # claimed just now, or left with no host
+                if not new or (bm2[new.bit_length() - 1] & used).bit_count() != k:
+                    undo(p, h, record)
+                    return None
+                on2 |= on1 & bm1[b]
+                on1 |= bm1[b]
+            if k >= 3:
+                heavy |= bm1[b]
         return record
 
-    def rescore(p: int, gains, sign: int) -> None:
-        """Add (sign 1) or take back (sign -1) the score changes of the
-        assignment of p."""
-        score[p] -= sign * assigned
-        for points, gain in gains:
-            gain *= sign
-            for x in points:
-                score[x] += gain
-
     def undo(p: int, h: int, record) -> None:
-        nonlocal used
-        for b, old in record[0]:
+        nonlocal used, free, on1, on2, heavy
+        saved, on1, on2, heavy = record
+        for b, old in saved:
             hosts[b] = old
             assigned_in[b] -= 1
         sigma[p] = None
         used ^= 1 << h
+        free |= 1 << p
 
     def pick() -> int | None:
-        # the highest-scored unassigned point, lowest index on ties
-        best = max(score, default=-1)
-        return None if best < 0 else score.index(best)
+        for tier in (on2 & free, on1 & ~heavy & free, free & ~on1, free):
+            if tier:
+                return (tier & -tier).bit_length() - 1
+        return None
 
     def candidates(p: int):
         mask = of_color[colors1[p]] & ~used
@@ -248,7 +244,6 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         frame = stack[-1]
         p, remaining, applied = frame
         if applied is not None:  # the deeper search failed
-            rescore(p, applied[1][1], -1)
             undo(p, *applied)
             frame[2] = None
         for h in remaining:
