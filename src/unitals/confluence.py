@@ -18,7 +18,8 @@ point is involved anywhere.
 
 Serialization: DIMACS graph format (``p edge n m`` header, ``e i j``
 lines with 1-based i < j in strictly increasing order, optional leading
-``c`` comments).
+``c`` comments). read_dimacs checks each edge line once and ORs the
+checked edges into the rows itself.
 """
 
 from __future__ import annotations
@@ -61,16 +62,6 @@ class ConfluenceGraph:
                     raise ValueError(f"adjacency not symmetric at ({i}, {j})")
         self.n = n
         self.rows = tuple(rows)
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "ConfluenceGraph":
-        rows = [0] * n
-        for i, j in edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(n, rows)
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -173,16 +164,13 @@ def hoffman_bound(params: SrgParams) -> Fraction:
 
 
 def infer_order(G: ConfluenceGraph) -> int | None:
-    """The unique q >= 2 with n = q^2(q^2-q+1) vertices and regular
-    degree (q+1)^2(q-1), if both hold."""
+    """The unique q >= 2 whose expected_unital_params have G's vertex
+    count v and G's constant degree k, if there is one."""
     n = G.n
     q = 2
-    while q * q * (q * q - q + 1) < n:
+    while (params := expected_unital_params(q)).v < n:
         q += 1
-    if q * q * (q * q - q + 1) != n:
-        return None
-    k = (q + 1) ** 2 * (q - 1)
-    if any(G.degree(i) != k for i in range(n)):
+    if params.v != n or any(G.degree(i) != params.k for i in range(n)):
         return None
     return q
 
@@ -247,4 +235,10 @@ def read_dimacs(path) -> ConfluenceGraph:
         raise GeometryError("missing problem line")
     if m != len(edges):
         raise GeometryError(f"header announces {m} edges, file has {len(edges)}")
-    return ConfluenceGraph.from_edges(n, edges)
+    # allocated only once every line has passed its checks, so a file that
+    # announces a huge n is rejected at its first bad line without them
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return ConfluenceGraph(n, rows)

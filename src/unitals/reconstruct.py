@@ -102,7 +102,9 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
     beta maps block indices of S to block indices of S2 and must preserve
     adjacency (checked). Both structures must be unitals of equal order
     q > 2. Returns the point map u -> u' such that (point map, beta) is
-    an incidence isomorphism (verified before returning).
+    an incidence isomorphism, verified by the pencil checks: once each
+    pencil maps onto a full pencil, the q+1 points of block i land on
+    block beta[i], on distinct points (distinct pencils), so they fill it.
     """
     q = validate_unital(S)
     q2 = validate_unital(S2)
@@ -138,11 +140,6 @@ def extend_graph_isomorphism(beta, S: IncidenceStructure,
             raise GeometryError(
                 f"image of the pencil of point {u} is not the full pencil of {u2}")
         point_map.append(u2)
-
-    for i, block in enumerate(S.blocks):
-        if tuple(sorted(point_map[x] for x in block)) != S2.blocks[beta[i]]:
-            raise GeometryError(
-                f"block {i} does not map onto block {beta[i]}; inputs invalid")
     return point_map
 
 
@@ -377,11 +374,8 @@ def isomorphic(S1: IncidenceStructure,
     result = _map_points(S1, S2, *colors)
     if result is None:
         return None
-    # safety net; full-image compatibility already forces this
-    blocks2_set = set(S2.blocks)
-    image_blocks = [tuple(sorted(result[x] for x in b)) for b in S1.blocks]
-    if len(set(image_blocks)) != len(image_blocks):
-        return None
-    if any(b not in blocks2_set for b in image_blocks):
+    # safety net; full-image compatibility already forces this. The block
+    # counts are equal, so equal sets also mean the images are distinct
+    if {tuple(sorted(result[x] for x in b)) for b in S1.blocks} != set(S2.blocks):
         return None
     return result

@@ -10,7 +10,7 @@ from unitals.algebra import field_create
 from unitals.cliques import CliqueClassification
 from unitals.confluence import ConfluenceGraph
 from unitals.errors import GeometryError
-from unitals.incidence import IncidenceStructure, _bits, _pg_data, to_json_dict
+from unitals.incidence import IncidenceStructure, _bits, _pg_data, to_json_dict, validate
 from unitals.linspace import complete_to_plane
 
 
@@ -87,6 +87,16 @@ def block_rejection_oracle(num_points: int, blocks) -> str | None:
     return None
 
 
+def graph_from_edges(n: int, edges) -> ConfluenceGraph:
+    """The graph on vertices 0..n-1 with the given (i, j) edges, in
+    either orientation; the constructor rejects loops and bad indices."""
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return ConfluenceGraph(n, rows)
+
+
 def sweep_graph(i: int) -> ConfluenceGraph:
     """Graph i of the fixed deterministic sweep (5..20 vertices)."""
     n = 5 + (i * 7) % 16
@@ -94,7 +104,7 @@ def sweep_graph(i: int) -> ConfluenceGraph:
     stream = lcg(1000 + i)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if next(stream) % 100 < density]
-    return ConfluenceGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def double_edge_swap(G: ConfluenceGraph, seed: int) -> ConfluenceGraph:
@@ -108,7 +118,7 @@ def double_edge_swap(G: ConfluenceGraph, seed: int) -> ConfluenceGraph:
         if (len({a, b, c, d}) == 4
                 and not G.rows[a] >> d & 1 and not G.rows[c] >> b & 1):
             kept = [e for e in edges if e not in ((a, b), (c, d))]
-            return ConfluenceGraph.from_edges(G.n, kept + [(a, d), (c, b)])
+            return graph_from_edges(G.n, kept + [(a, d), (c, b)])
     raise ValueError("no double edge swap found")
 
 
@@ -194,6 +204,27 @@ def linearity_oracle(S) -> tuple[bool, bool]:
     partial = all(c == 1 for c in counts.values())
     n = S.num_points
     return partial, partial and len(counts) == n * (n - 1) // 2
+
+
+def validate_unital_oracle(S) -> int | None:
+    """validate_unital with the derived counts tested as well: q^2(q^2-q+1)
+    blocks and constant point degree q^2. The reference that shows those
+    two tests are implied by the design's other conditions."""
+    if not S.blocks:
+        return None
+    sizes = {len(b) for b in S.blocks}
+    if len(sizes) != 1:
+        return None
+    q = sizes.pop() - 1
+    if q <= 1:
+        return None
+    if S.num_points != q**3 + 1:
+        return None
+    if len(S.blocks) != q * q * (q * q - q + 1):
+        return None
+    if {len(t) for t in S.point_blocks} != {q * q}:
+        return None
+    return q if validate(S).is_linear_space else None
 
 
 def pair_count_refinement(S1, S2):

@@ -11,6 +11,7 @@ from support import (
     block_sets,
     buekenhout_metz_unital,
     classify_clique_oracle,
+    graph_from_edges,
     naive_maximal_cliques,
     near_pencil,
     star_failures,
@@ -43,11 +44,11 @@ from unitals.incidence import (
 
 
 def _k3():
-    return ConfluenceGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    return graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def _c4():
-    return ConfluenceGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def test_triangle():
@@ -105,7 +106,7 @@ def _cliques_graph(*sizes, extra=(), missing=()):
     for size in sizes:
         edges.update(combinations(range(start, start + size), 2))
         start += size
-    return ConfluenceGraph.from_edges(start, sorted(edges - set(missing)))
+    return graph_from_edges(start, sorted(edges - set(missing)))
 
 
 SETTLED_NODE_GRAPHS = {

@@ -12,6 +12,7 @@ from support import (
     block_sets,
     edges_oracle,
     format_dimacs_oracle,
+    graph_from_edges,
     graph_rejection_oracle,
 )
 
@@ -127,18 +128,24 @@ def test_srg_hermitian_q5_stretch():
 
 
 def test_srg_rejects_path():
-    P3 = ConfluenceGraph.from_edges(3, [(0, 1), (1, 2)])
+    P3 = graph_from_edges(3, [(0, 1), (1, 2)])
     assert srg_check(P3) is None  # not regular
 
 
 def test_srg_rejects_complete_and_edgeless():
-    K3 = ConfluenceGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert srg_check(K3) is None
     assert srg_check(ConfluenceGraph(3, [0, 0, 0])) is None
 
 
+def test_srg_rejects_uneven_mu_and_a_single_vertex():
+    C6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert srg_check(C6) is None  # 2-regular; opposite vertices share no neighbour
+    assert srg_check(ConfluenceGraph(1, [0])) is None
+
+
 def test_srg_rejects_irrational_eigenvalues():
-    C5 = ConfluenceGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    C5 = graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert srg_check(C5) is None  # golden-ratio eigenvalues
 
 
@@ -261,7 +268,7 @@ def test_infer_order(cg3, cg2):
     assert infer_order(cg2) == 2
     assert infer_order(ConfluenceGraph(50, [0] * 50)) is None
     # right vertex count, wrong degree
-    wrong = ConfluenceGraph.from_edges(63, [(i, (i + 1) % 63) for i in range(63)])
+    wrong = graph_from_edges(63, [(i, (i + 1) % 63) for i in range(63)])
     assert infer_order(wrong) is None
 
 
@@ -312,6 +319,17 @@ _DIMACS_REJECTIONS = {
     "carrot 1 2\np edge 3 0\n": "line 1: unknown line type 'carrot'",
     # comment after the header
     "p edge 3 1\nc late\ne 1 2\n": "line 2: comment after the problem line",
+    # a size that is not an integer
+    "p edge x 0\n": "line 1: non-integer sizes",
+    # an edge line with one endpoint
+    "p edge 3 1\ne 1\n": "line 2: malformed edge line",
+    # an endpoint that is not an integer
+    "p edge 3 1\ne 1 y\n": "line 2: non-integer endpoints",
+    # comments alone
+    "c only\n": "missing problem line",
+    # a huge announced vertex count: the bad edge line is named, and no
+    # adjacency row is allocated first
+    "p edge 1000000000000000000 1\ne 1 x\n": "line 2: non-integer endpoints",
 }
 
 
@@ -336,7 +354,7 @@ def test_dimacs_reader_rejects_negative_sizes(header, tmp_path):
 def test_dimacs_round_trip_random_graphs(tmp_path_factory, n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if data.draw(st.booleans())]
-    G = ConfluenceGraph.from_edges(n, edges)
+    G = graph_from_edges(n, edges)
     path = tmp_path_factory.mktemp("dimacs") / "g.dimacs"
     path.write_text(format_dimacs(G), encoding="utf-8")
     assert read_dimacs(path) == G

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from support import (
     block_rejection_oracle,
     block_sets,
+    buekenhout_metz_unital,
     format_json_oracle,
     linearity_oracle,
     near_pencil,
     pair_coverage,
     pg_data_oracle,
+    validate_unital_oracle,
 )
 
 from unitals.algebra import field_create, prime_power
@@ -58,6 +60,15 @@ def test_constructor_normalizes_and_sorts():
 def test_constructor_rejects_malformed(blocks, msg):
     with pytest.raises(GeometryError, match=msg):
         IncidenceStructure(4, blocks)
+
+
+@pytest.mark.parametrize("num_points, blocks, labels, msg", [
+    (-1, [], None, "negative point count"),
+    (3, [[0, 1]], ["a"], "labels length differs from num_points"),
+])
+def test_constructor_rejects_bad_point_count_and_labels(num_points, blocks, labels, msg):
+    with pytest.raises(GeometryError, match=f"^{msg}$"):
+        IncidenceStructure(num_points, blocks, labels)
 
 
 def _seeded_blocks(seed: int) -> tuple[int, list[list[int]]]:
@@ -157,6 +168,47 @@ def test_validate_unital_rejects_pg3(pg3):
 
 def test_validate_unital_rejects_ag2():
     assert validate_unital(affine_plane(2)) is None  # block size 2 forces q=1
+
+
+def _unital_mutant(S, rng: random.Random) -> IncidenceStructure:
+    """S after 0..3 seeded edits: remove a block, add a random block of
+    2..q+2 points, shift one point of a block to another point, or
+    relabel every point x as x + k (mod v), which keeps a unital."""
+    v, size = S.num_points, len(S.blocks[0])
+    blocks = {tuple(b) for b in S.blocks}
+    for _ in range(rng.randrange(4)):
+        op = rng.choice(("remove", "add", "shift", "relabel"))
+        if op == "remove" and blocks:
+            blocks.remove(rng.choice(sorted(blocks)))
+        elif op == "add":
+            blocks.add(tuple(sorted(rng.sample(range(v), rng.randint(2, size + 1)))))
+        elif op == "shift" and blocks:
+            block = rng.choice(sorted(blocks))
+            x = rng.choice([p for p in range(v) if p not in block])
+            moved = tuple(sorted(set(block) - {rng.choice(block)} | {x}))
+            if moved not in blocks:
+                blocks.remove(block)
+                blocks.add(moved)
+        elif op == "relabel":
+            k = rng.randrange(1, v)
+            blocks = {tuple(sorted((p + k) % v for p in b)) for b in blocks}
+    return IncidenceStructure(v, blocks)
+
+
+def test_validate_unital_matches_the_count_checking_oracle(h2, h3, h4):
+    # the block count and point degree follow from linearity, so dropping
+    # their tests changes no verdict
+    for S, q in [(h2, 2), (h3, 3), (h4, 4), (hermitian_unital(5), 5),
+                 (buekenhout_metz_unital(4), 3)]:
+        assert validate_unital(S) == validate_unital_oracle(S) == q
+    rng = random.Random(2024)
+    verdicts = Counter()
+    for S in [h2, h3] * 1200:
+        mutant = _unital_mutant(S, rng)
+        verdict = validate_unital(mutant)
+        assert verdict == validate_unital_oracle(mutant), mutant.blocks
+        verdicts[verdict] += 1
+    assert verdicts.keys() == {None, 2, 3}
 
 
 # --- planes ---
@@ -520,6 +572,8 @@ _JSON_REJECTIONS = {
     # the first faulty block is named, whatever follows it
     (lambda d: d["blocks"].__setitem__(slice(1, 3), [[0, 9], "x"])):
         "block [0, 9] out of range",
+    # blocks given as an object
+    (lambda d: d.update(blocks={})): '"blocks" must be an array',
 }
 
 

@@ -11,6 +11,7 @@ from support import (
     brute_force_isomorphic,
     buekenhout_metz_unital,
     double_edge_swap,
+    graph_from_edges,
     joint_partition,
     linearity_oracle,
     pair_count_refinement,
@@ -361,7 +362,7 @@ def _refinement_pairs():
         n = rng.randint(6, 40)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 3)}
-        graph = ConfluenceGraph.from_edges(n, edges)
+        graph = graph_from_edges(n, edges)
         swapped = IncidenceStructure(n, double_edge_swap(graph, seed).edges())
         sparse = IncidenceStructure(n, edges)
         out += [(f"sparse{seed}", sparse, _seeded_relabelling(sparse, seed)),
@@ -468,7 +469,7 @@ def test_reconstruction_is_relabel_invariant(h3, cg3):
 
 def test_reconstruct_rejects_non_unital_graph():
     # deterministic 32-regular circulant on 63 vertices
-    circulant = ConfluenceGraph.from_edges(
+    circulant = graph_from_edges(
         63, [(i, (i + d) % 63) for i in range(63) for d in range(1, 17)])
     assert all(circulant.degree(i) == 32 for i in range(63))
     with pytest.raises(VerificationFailed,
@@ -479,7 +480,7 @@ def test_reconstruct_rejects_non_unital_graph():
 def test_reconstruct_q2_needs_the_unital_graph():
     # 9-regular on 12 vertices, as the order-2 unital graph is, but the
     # complement of a 12-cycle is not strongly regular
-    c12bar = ConfluenceGraph.from_edges(
+    c12bar = graph_from_edges(
         12, [(i, j) for i in range(12) for j in range(i + 1, 12)
              if (j - i) % 12 not in (1, 11)])
     assert all(c12bar.degree(i) == 9 for i in range(12))
@@ -517,7 +518,7 @@ def test_reconstruct_rejects_swapped_h4_graph(cg4, seed):
 
 
 def test_reconstruct_rejects_h3_graph_without_one_edge(cg3):
-    dropped = ConfluenceGraph.from_edges(63, cg3.edges()[1:])
+    dropped = graph_from_edges(63, cg3.edges()[1:])
     with pytest.raises(VerificationFailed, match=r"^no q >= 2 matches 63 vertices "
                                                 r"with the required regularity$"):
         reconstruct_unital(dropped)
@@ -547,6 +548,26 @@ def test_extend_verifies_incidence_level(h3):
     assert pm == sigma
     for i, block in enumerate(h3.blocks):
         assert tuple(sorted(pm[x] for x in block)) == relabeled.blocks[beta[i]]
+
+
+@pytest.mark.parametrize("name", ["h3", "h4"])
+def test_extend_maps_every_block_onto_its_beta_image(name, request):
+    # the pencil checks alone stand behind the returned point map; check
+    # it block by block, for planted relabellings and for the witnesses
+    # that isomorphic finds on its own
+    S = request.getfixturevalue(name)
+    v = S.num_points
+    for seed in range(6):
+        sigma = list(range(v))
+        random.Random(seed).shuffle(sigma)
+        S2 = IncidenceStructure(v, [[sigma[x] for x in b] for b in S.blocks])
+        position = {b: i for i, b in enumerate(S2.blocks)}
+        for witness in (sigma, isomorphic(S, S2)):
+            beta = [position[tuple(sorted(witness[x] for x in b))] for b in S.blocks]
+            point_map = extend_graph_isomorphism(beta, S, S2)
+            assert point_map == witness
+            for i, block in enumerate(S.blocks):
+                assert tuple(sorted(point_map[x] for x in block)) == S2.blocks[beta[i]]
 
 
 def test_extend_rejects_q2(h2):
