@@ -78,7 +78,7 @@ def _cases():
         for name in (f"ag{q}-line", f"ag{q}-swap", f"pg{q}-conic"):
             cases[f"classify-linspace-{name}"] = ("classify-linspace", f"{{{name}}}", "--q",
                                                   str(q), "--embed", "--json", "report.json")
-    for q in (2, 3):
+    for q in (2, 3, 4):
         cases[f"reconstruct-h{q}"] = ("reconstruct", f"{{h{q}-dimacs}}", "-o", "rebuilt.json",
                                       "--verify", f"{{h{q}}}")
     cases["cliques-classify-ag3-minus-class"] = ("cliques", "{ag3-minus-class}", "--classify")
@@ -154,6 +154,7 @@ GOLDEN = {
     "puncture-4-list": "3e6272c00e9d2003783d94c56fd9c1f22d4bb1f1c57acbe7c8dc41104a3664dd",
     "reconstruct-h2": "0258f7f54bf953af369ec02b04ea146d58a85125bc574cd47caa191221f988ec",
     "reconstruct-h3": "6ebddaf7d5c64c6cc2581dbcdd7a5772257abb25ce0ba14e926ea40393f08c1d",
+    "reconstruct-h4": "1f877fe9ffab61097f8e3f44c46edbde538a53a615923f7568c22e7f0b0862e2",
     "srg-h2": "d9f1ecc269ddfba5f502cea3826986d5b853dd7107790341d382aa636f231295",
     "srg-h3": "944a59c66cd8fe5fb69d09e75b06714f1fbf1aec6940828c1c5178834c55970f",
     "srg-h3-mismatch": "496b853ab55591e98b9b7428739ef7bacdb72237c0b7da99f728e62c2eeaf33a",
@@ -177,7 +178,7 @@ def _build_inputs(root: Path) -> dict:
         paths[name] = str(root / f"{name}.json")
         with redirect_stdout(io.StringIO()):
             assert main([*argv, "-o", paths[name]]) == 0, name
-    for q in (2, 3):
+    for q in (2, 3, 4):
         paths[f"h{q}-dimacs"] = str(root / f"h{q}.dimacs")
         assert main(["graph", paths[f"h{q}"], "-o", paths[f"h{q}-dimacs"]]) == 0
     # AG(2,3) without the parallel class of block 0: a partial linear space
