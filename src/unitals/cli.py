@@ -183,15 +183,16 @@ def cmd_cliques(args) -> int:
     print("sizes=" + " ".join(f"{s}:{c}" for s, c in sorted(sizes.items())))
     status = 0
     if args.classify:
-        tagged = [cliques_mod.classify_clique(S, c) for c in found]
-        tags = Counter(t.tag for t in tagged)
+        # (tag, point, line) per clique: found already holds the cliques
+        tagged = [cliques_mod.classify_clique(S, c)[2:] for c in found]
+        tags = Counter(t[0] for t in tagged)
         print("tags=" + " ".join(f"{t}:{c}" for t, c in sorted(tags.items())))
         q = inc.validate_unital(S)
         if q is not None:
-            status = _unital_census(S, q, Counter((t.tag, t.size) for t in tagged))
+            status = _unital_census(S, q, Counter(zip((t[0] for t in tagged), map(len, found))))
         if args.json:
-            _write_records(args.json, (_clique_record(t.clique, t.size, t.tag, t.point, t.line)
-                                       for t in tagged))
+            _write_records(args.json, (_clique_record(c, len(c), *t)
+                                       for c, t in zip(found, tagged)))
     elif args.json:
         _write_records(args.json, (_clique_record(c, len(c)) for c in found))
     return status
@@ -250,17 +251,17 @@ def _clique_record(blocks, size: int, tag: str | None = None,
 
 def _write_records(path: str, records) -> None:
     """Write the record strings as a JSON list, byte for byte what
-    json.dump(..., indent=1) writes for the same records, plus a newline."""
-    records = iter(records)
+    json.dump(..., indent=1) writes for the same records, plus a newline.
+    Records are written in batches of 1024, never as one whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        first = next(records, None)
-        if first is None:
-            fh.write("[]\n")
-            return
-        fh.write("[\n" + first)
+        batch: list[str] = []
+        head = "[\n"  # what goes before the next batch
         for record in records:
-            fh.write(",\n" + record)
-        fh.write("\n]\n")
+            if len(batch) == 1024:
+                fh.write(head + ",\n".join(batch))
+                head, batch = ",\n", []
+            batch.append(record)
+        fh.write(head + ",\n".join(batch) + "\n]\n" if batch else "[]\n")
 
 
 def cmd_onan(args) -> int:

@@ -14,8 +14,12 @@ two kinds of node without branching, both exactly:
   every clique R + S with S in P, and nothing below the node is maximal;
 - otherwise, when the AND contains P, P is a clique: every proper subset
   of P extends inside P, so R + P is the one maximal clique below.
-A child with a single candidate u is settled when it is made, by the
-same rule: R + v + u is maximal unless an excluded vertex sees u.
+A child of R + v with one or two candidates is settled when it is made,
+by the same rules: a lone candidate u gives R + v + u unless an excluded
+vertex of the child sees u; adjacent a < b give R + v + a + b unless an
+excluded vertex sees both; non-adjacent a, b give R + v + a and R + v + b,
+each unless an excluded vertex sees it. The closed rows (row | 1 << u)
+that the pivot scan ANDs are built once per call.
 
 In the confluence graph of a linear space, a clique is a set of mutually
 intersecting blocks. Each maximal clique is classified as a pencil (all
@@ -52,6 +56,7 @@ def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
     if n == 0:
         return []
     rows = G.rows
+    closed_rows = [row | 1 << u for u, row in enumerate(rows)]
     out: list[tuple[int, ...]] = []
     # (clique so far, candidates P != 0, excluded X); the output is sorted at
     # the end, so the order in which the worklist is drained does not matter
@@ -59,17 +64,17 @@ def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
     while work:
         clique, P, X = work.pop()
         # pivot: candidate with most neighbors among candidates; closed is
-        # the set of vertices adjacent or equal to every candidate
+        # the set of vertices adjacent or equal to every candidate. Bits are
+        # taken from the top, so ">=" keeps the lowest index on ties.
         best_u, best, closed = -1, -1, -1
         m = P
         while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            row = rows[u]
-            closed &= row | low
+            u = m.bit_length() - 1
+            m ^= 1 << u
+            row = closed_rows[u]
+            closed &= row
             c = (row & P).bit_count()
-            if c > best:
+            if c >= best:
                 best, best_u = c, u
         if closed & X:  # an excluded vertex extends every clique below
             continue
@@ -78,21 +83,33 @@ def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
             continue
         branch = P & ~rows[best_u]
         while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
+            v = branch.bit_length() - 1
+            low = 1 << v
             branch ^= low
             nv = rows[v]
-            child = P & nv
-            if child & (child - 1):
-                work.append((clique + (v,), child, X & nv))
-            elif child:  # one candidate u: maximal unless the child's X sees u
-                u = child.bit_length() - 1
-                if not X & nv & rows[u]:
-                    out.append(tuple(sorted(clique + (v, u))))
-            elif not X & nv:
-                out.append(tuple(sorted(clique + (v,))))
+            child, child_X = P & nv, X & nv
             P ^= low
             X |= low
+            rest = child & (child - 1)  # child without its lowest candidate
+            if rest & (rest - 1):
+                work.append((clique + (v,), child, child_X))
+            elif rest:  # two candidates a < b
+                a, b = (child ^ rest).bit_length() - 1, rest.bit_length() - 1
+                row_a, row_b = rows[a], rows[b]
+                if row_a >> b & 1:
+                    if not child_X & row_a & row_b:
+                        out.append(tuple(sorted(clique + (v, a, b))))
+                else:
+                    if not child_X & row_a:
+                        out.append(tuple(sorted(clique + (v, a))))
+                    if not child_X & row_b:
+                        out.append(tuple(sorted(clique + (v, b))))
+            elif child:  # one candidate u: maximal unless the child's X sees u
+                u = child.bit_length() - 1
+                if not child_X & rows[u]:
+                    out.append(tuple(sorted(clique + (v, u))))
+            elif not child_X:
+                out.append(tuple(sorted(clique + (v,))))
     out.sort()
     return out
 
@@ -128,7 +145,7 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     (point, block) pair; when several pairs give it, the lowest (L, p).
     """
     members = tuple(sorted(set(clique)))
-    rows, masks = S.block_rows, S.block_masks
+    rows, masks, pencils, blocks = S.block_rows, S.block_masks, S.pencil_masks, S.blocks
     # mask: the members; closed: the blocks meeting or equal to every
     # member; points: the points on every member
     mask, closed, points = 0, -1, -1
@@ -144,32 +161,35 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
                 j = (disjoint & -disjoint).bit_length() - 1
                 raise GeometryError(f"blocks {i} and {j} are disjoint")
     size = len(members)
-    pencils = S.pencil_masks
-
-    common = points if members else 0
-    if common:
-        for p in _bits(common):
+    if points > 0:  # points is -1 when there are no members
+        while points:
+            low = points & -points
+            p = low.bit_length() - 1
             if pencils[p] == mask:
-                return CliqueClassification(members, size, "pencil", point=p)
+                return CliqueClassification(members, size, "pencil", p)
+            points ^= low
     elif size >= 3:
-        # the apex lies on every member but L, so on two of the first three
-        a, b, c = (masks[i] for i in members[:3])
-        found = []
-        for p in _bits(a & b | a & c | b & c):
+        # the apex lies on every member but L, so on two of the first three;
+        # taken from the top, so "<=" keeps the lowest (L, p)
+        a, b, c = masks[members[0]], masks[members[1]], masks[members[2]]
+        apexes = a & b | a & c | b & c
+        best = None
+        while apexes:
+            p = apexes.bit_length() - 1
+            apexes ^= 1 << p
             through = pencils[p]
             near = mask & ~through  # the member off p: it must be L alone
             if near & (near - 1):
                 continue
             L = near.bit_length() - 1
-            for x in S.blocks[L]:
+            for x in blocks[L]:
                 join = through & pencils[x]
                 if not join or join & (join - 1):
                     break  # not one block joins p and x
                 near |= join
             else:
-                if near == mask:
-                    found.append((L, p))
-        if found:
-            L, p = min(found)
-            return CliqueClassification(members, size, "near_pencil", point=p, line=L)
+                if near == mask and (best is None or L <= best[0]):
+                    best = L, p
+        if best is not None:
+            return CliqueClassification(members, size, "near_pencil", best[1], best[0])
     return CliqueClassification(members, size, "other")

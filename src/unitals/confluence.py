@@ -31,6 +31,11 @@ from math import isqrt
 from .errors import GeometryError
 from .incidence import IncidenceStructure, _bits
 
+# read_dimacs refuses more vertices: ConfluenceGraph checks symmetry through
+# n strings of n characters. 4096 covers the 2,107 vertices of the graph of
+# a unital of order 7.
+MAX_VERTICES = 4096
+
 
 class ConfluenceGraph:
     """Simple undirected graph with bitset adjacency rows.
@@ -188,7 +193,8 @@ def format_dimacs(G: ConfluenceGraph, comments: tuple[str, ...] = ()) -> str:
 def read_dimacs(path) -> ConfluenceGraph:
     """Strict reader: comment lines (first token exactly "c") only before
     the problem line; edges must be 1-based i < j, each line strictly after
-    the previous one in lexicographic order (so no duplicates)."""
+    the previous one in lexicographic order (so no duplicates); at most
+    MAX_VERTICES vertices."""
     n = None
     m = None
     edges = []
@@ -235,6 +241,8 @@ def read_dimacs(path) -> ConfluenceGraph:
         raise GeometryError("missing problem line")
     if m != len(edges):
         raise GeometryError(f"header announces {m} edges, file has {len(edges)}")
+    if n > MAX_VERTICES:
+        raise GeometryError(f"vertex count {n} exceeds {MAX_VERTICES}")
     # allocated only once every line has passed its checks, so a file that
     # announces a huge n is rejected at its first bad line without them
     rows = [0] * n

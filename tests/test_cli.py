@@ -161,6 +161,16 @@ def test_cliques_report_is_the_stdlib_encoding(tmp_path, blocks, flags):
     assert (raw == "[]\n") == (not blocks)
 
 
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_clique_records_are_written_whole_across_batches(tmp_path, count):
+    records = [{"blocks": [i, i + 1], "size": 2, "tag": "near_pencil", "point": i, "line": 0}
+               for i in range(count)]
+    path = tmp_path / "report.json"
+    cli._write_records(path, (cli._clique_record(r["blocks"], 2, "near_pencil", r["point"], 0)
+                              for r in records))
+    assert path.read_text() == json.dumps(records, indent=1) + "\n"
+
+
 def test_cliques_max_only(capsys, h3_json):
     assert run("cliques", str(h3_json), "--max-only") == 0
     assert "max_clique_size=9" in capsys.readouterr().out
@@ -428,6 +438,13 @@ def test_reconstruct_exits_1_on_a_swapped_unital_graph(tmp_path, capsys, h3_json
     out, err = capsys.readouterr()
     assert out == ""
     assert "26 maximal cliques of size 9, expected 28" in err
+
+
+def test_reconstruct_refuses_a_huge_vertex_count(tmp_path, capsys):
+    bad = tmp_path / "huge0.dimacs"
+    bad.write_text("p edge 1000000000000000000 0\n")
+    assert run("reconstruct", str(bad)) == 2
+    assert capsys.readouterr().err == "error: vertex count 1000000000000000000 exceeds 4096\n"
 
 
 @pytest.mark.parametrize("header", ["p edge -5 0", "p edge 3 -1"])

@@ -109,6 +109,24 @@ def _cliques_graph(*sizes, extra=(), missing=()):
     return graph_from_edges(start, sorted(edges - set(missing)))
 
 
+def _hub_graph(adjacent: bool, seen: int):
+    """Hub 0 (neighbours 1, 2, 5, 6, 7) is the root pivot, so the root
+    branches on its non-neighbours 4, then 3. The child of 3 has the two
+    candidates 1, 2 (adjacent or not) and the excluded vertex 4, which
+    sees `seen` of them."""
+    edges = [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 3), (2, 3), (3, 4)]
+    edges += [(1, 2)] * adjacent + [(i, 4) for i in (1, 2)[:seen]]
+    return graph_from_edges(8, sorted(edges))
+
+
+def _path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _cycle_graph(n):
+    return graph_from_edges(n, sorted(_path_edges(n) + [(0, n - 1)]))
+
+
 SETTLED_NODE_GRAPHS = {
     # the candidates form a clique at the root
     **{f"K{n}": _cliques_graph(n) for n in range(1, 8)},
@@ -120,6 +138,20 @@ SETTLED_NODE_GRAPHS = {
     # two K_m joined by an edge: a node meets a clique of candidates plus an
     # excluded vertex that sees all of it, and must emit nothing
     **{f"K{m}-K{m}-bridged": _cliques_graph(m, m, extra=[(m - 1, m)]) for m in range(3, 6)},
+    # children with two candidates, adjacent or not, and an excluded vertex
+    # that sees both, one or neither of them (or no excluded vertex); C4 is
+    # also K4 minus a perfect matching, and K4-minus-edge two triangles
+    # sharing an edge
+    **{f"hub-{'adjacent' if adjacent else 'apart'}-seen-{seen}": _hub_graph(adjacent, seen)
+       for adjacent in (False, True) for seen in (0, 1, 2)},
+    "C4": _cycle_graph(4),
+    "C5": _cycle_graph(5),
+    "P4": graph_from_edges(4, _path_edges(4)),
+    "prism": _cliques_graph(3, 3, extra=[(0, 3), (1, 4), (2, 5)]),
+    # outer 5-cycle 0-4, spokes, inner pentagram 5-9
+    "petersen": graph_from_edges(10, sorted(
+        _path_edges(5) + [(0, 4)] + [(i, i + 5) for i in range(5)]
+        + [(5, 7), (5, 8), (6, 8), (6, 9), (7, 9)])),
 }
 
 

@@ -17,6 +17,7 @@ from support import (
 )
 
 from unitals.confluence import (
+    MAX_VERTICES,
     ConfluenceGraph,
     SrgParams,
     build_confluence,
@@ -330,7 +331,18 @@ _DIMACS_REJECTIONS = {
     # a huge announced vertex count: the bad edge line is named, and no
     # adjacency row is allocated first
     "p edge 1000000000000000000 1\ne 1 x\n": "line 2: non-integer endpoints",
+    # a well-formed file that announces more vertices than the cap, refused
+    # before any adjacency row is allocated
+    "p edge 1000000000000000000 0\n": f"vertex count 1000000000000000000 exceeds {MAX_VERTICES}",
+    f"p edge {MAX_VERTICES + 1} 0\n": f"vertex count {MAX_VERTICES + 1} exceeds {MAX_VERTICES}",
+    # the edge count is checked first
+    f"p edge {MAX_VERTICES + 1} 1\n": "header announces 1 edges, file has 0",
 }
+
+
+def test_dimacs_vertex_cap_covers_the_h7_graph():
+    # the confluence graph of a unital of order 7 has 2,107 vertices
+    assert expected_unital_params(7).v == 2107 <= MAX_VERTICES
 
 
 @pytest.mark.parametrize("text", _DIMACS_REJECTIONS)
