@@ -47,8 +47,12 @@ def _k3():
     return graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
-def _c4():
-    return graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+def _path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _cycle_graph(n):
+    return graph_from_edges(n, _path_edges(n) + [(0, n - 1)])
 
 
 def test_triangle():
@@ -59,9 +63,9 @@ def test_triangle():
 
 def test_four_cycle():
     expected = [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert enumerate_maximal_cliques(_c4()) == expected
-    assert naive_maximal_cliques(_c4()) == expected
-    assert max_clique_size(_c4()) == 2
+    assert enumerate_maximal_cliques(_cycle_graph(4)) == expected
+    assert naive_maximal_cliques(_cycle_graph(4)) == expected
+    assert max_clique_size(_cycle_graph(4)) == 2
 
 
 def test_edgeless_graph_yields_singletons():
@@ -116,15 +120,7 @@ def _hub_graph(adjacent: bool, seen: int):
     sees `seen` of them."""
     edges = [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (1, 3), (2, 3), (3, 4)]
     edges += [(1, 2)] * adjacent + [(i, 4) for i in (1, 2)[:seen]]
-    return graph_from_edges(8, sorted(edges))
-
-
-def _path_edges(n):
-    return [(i, i + 1) for i in range(n - 1)]
-
-
-def _cycle_graph(n):
-    return graph_from_edges(n, sorted(_path_edges(n) + [(0, n - 1)]))
+    return graph_from_edges(8, edges)
 
 
 SETTLED_NODE_GRAPHS = {
@@ -149,9 +145,8 @@ SETTLED_NODE_GRAPHS = {
     "P4": graph_from_edges(4, _path_edges(4)),
     "prism": _cliques_graph(3, 3, extra=[(0, 3), (1, 4), (2, 5)]),
     # outer 5-cycle 0-4, spokes, inner pentagram 5-9
-    "petersen": graph_from_edges(10, sorted(
-        _path_edges(5) + [(0, 4)] + [(i, i + 5) for i in range(5)]
-        + [(5, 7), (5, 8), (6, 8), (6, 9), (7, 9)])),
+    "petersen": graph_from_edges(10, _path_edges(5) + [(0, 4)] + [(i, i + 5) for i in range(5)]
+                                 + [(5, 7), (5, 8), (6, 8), (6, 9), (7, 9)]),
 }
 
 
