@@ -378,6 +378,15 @@ def test_classify_linspace_rejects_plane(tmp_path):
     assert run("classify-linspace", str(path), "--q", "3") == 1  # assumptions fail
 
 
+def test_classify_linspace_rejects_a_non_linear_space(tmp_path, capsys):
+    # 9 points and one 2-point block: every count is within bounds, but
+    # most point pairs are on no block
+    path = tmp_path / "sparse.json"
+    path.write_text('{"format": "incidence-v1", "num_points": 9, "blocks": [[0, 1]]}')
+    assert run("classify-linspace", str(path), "--q", "3") == 1
+    assert capsys.readouterr().err == "verification failed: not a linear space\n"
+
+
 def test_isomorphic_command(tmp_path, capsys):
     a, b, c = (tmp_path / n for n in ("h2.json", "ag3.json", "h3.json"))
     run("build", "hermitian", "--q", "2", "-o", str(a))
