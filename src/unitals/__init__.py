@@ -54,7 +54,6 @@ from .linspace import (
     thin_points,
 )
 from .reconstruct import (
-    Reconstruction,
     extend_graph_isomorphism,
     isomorphic,
     reconstruct_unital,

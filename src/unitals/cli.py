@@ -182,19 +182,18 @@ def cmd_cliques(args) -> int:
     print(f"maximal_cliques={len(found)}")
     print("sizes=" + " ".join(f"{s}:{c}" for s, c in sorted(sizes.items())))
     status = 0
+    tagged: list = [()] * len(found)  # records carry no tag without --classify
     if args.classify:
-        # (tag, point, line) per clique: found already holds the cliques
-        tagged = [cliques_mod.classify_clique(S, c)[2:] for c in found]
-        tags = Counter(t[0] for t in tagged)
+        tagged = [cliques_mod.classify_clique(S, c) for c in found]
+        tags = Counter(t.tag for t in tagged)
         print("tags=" + " ".join(f"{t}:{c}" for t, c in sorted(tags.items())))
         q = inc.validate_unital(S)
         if q is not None:
-            status = _unital_census(S, q, Counter(zip((t[0] for t in tagged), map(len, found))))
-        if args.json:
-            _write_records(args.json, (_clique_record(c, len(c), *t)
-                                       for c, t in zip(found, tagged)))
-    elif args.json:
-        _write_records(args.json, (_clique_record(c, len(c)) for c in found))
+            status = _unital_census(S, q, Counter(zip((t.tag for t in tagged), map(len, found))))
+    if args.json:
+        names = [str(i) for i in range(G.n)]  # each block index formatted once
+        _write_records(args.json, (_clique_record(names, c, *t)
+                                   for c, t in zip(found, tagged)))
     return status
 
 
@@ -233,13 +232,14 @@ def _unital_census(S: inc.IncidenceStructure, q: int, kinds: Counter) -> int:
     return 0
 
 
-def _clique_record(blocks, size: int, tag: str | None = None,
+def _clique_record(names: list[str], blocks, tag: str | None = None,
                    point: int | None = None, line: int | None = None) -> str:
     """One clique-report record, as json.dump(..., indent=1) writes the dict
     {"blocks", "size", "tag", "point", "line"} (None values left out) as an
-    item of a top-level list. Tags are fixed ASCII words, so they need no
-    escaping."""
-    text = ' {\n  "blocks": [\n   ' + ",\n   ".join(map(str, blocks)) + f'\n  ],\n  "size": {size}'
+    item of a top-level list; names[i] is str(i). Tags are fixed ASCII
+    words, so they need no escaping."""
+    text = (' {\n  "blocks": [\n   ' + ",\n   ".join(map(names.__getitem__, blocks))
+            + f'\n  ],\n  "size": {len(blocks)}')
     if tag is not None:
         text += f',\n  "tag": "{tag}"'
     if point is not None:
@@ -312,18 +312,18 @@ def cmd_classify_linspace(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     G = confl.read_dimacs(args.input)
-    result = rec.reconstruct_unital(G)
-    _emit(inc.format_json(result.structure), args.output)
+    structure = rec.reconstruct_unital(G)
+    _emit(inc.format_json(structure), args.output)
     if args.output is not None:
-        note = " (order-2 shortcut)" if result.via_q2_shortcut else ""
-        print(f"reconstructed unital of order {result.q}: "
-              f"{result.structure.num_points} points, "
-              f"{len(result.structure.blocks)} blocks{note}")
+        q = len(structure.blocks[0]) - 1
+        note = " (order-2 shortcut)" if q == 2 else ""
+        print(f"reconstructed unital of order {q}: {structure.num_points} points, "
+              f"{len(structure.blocks)} blocks{note}")
     if args.verify:
         # stdout carries the JSON when there is no -o, so the verdict goes aside
         verdict_to = sys.stdout if args.output is not None else sys.stderr
         target = inc.read_json(args.verify)
-        witness = rec.isomorphic(result.structure, target)
+        witness = rec.isomorphic(structure, target)
         if witness is None:
             print("verification FAILED: rebuilt structure is not isomorphic to the target",
                   file=verdict_to)

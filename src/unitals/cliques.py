@@ -30,7 +30,9 @@ L, and every join would be the one block through it and p), and its
 apex p lies on every member but L, so on two of any three members. So
 the candidate apexes are the pairwise meets of the first three members,
 and p is kept when L is the one member off p, each point of L has one
-block through p, and those joins plus L are the clique.
+block through p, and those joins plus L are the clique. classify_clique
+reads the clique once, into a bitset (its members ascending), and returns
+the tag with the pencil's point, or the near pencil's apex p and L.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .incidence import IncidenceStructure, _bits
 
 
 class CliqueClassification(NamedTuple):
-    clique: tuple[int, ...]
-    size: int
     tag: str                  # "pencil" | "near_pencil" | "other"
     point: int | None = None  # pencil: the common point; near pencil: the apex
     line: int | None = None   # near pencil: the base block L
@@ -144,34 +144,33 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
     exact equality with the near-pencil block set of some non-incident
     (point, block) pair; when several pairs give it, the lowest (L, p).
     """
-    members = tuple(sorted(set(clique)))
     rows, masks, pencils, blocks = S.block_rows, S.block_masks, S.pencil_masks, S.blocks
     # mask: the members; closed: the blocks meeting or equal to every
     # member; points: the points on every member
     mask, closed, points = 0, -1, -1
-    for i in members:
+    for i in clique:
         bit = 1 << i
         mask |= bit
         closed &= rows[i] | bit
         points &= masks[i]
     if closed & mask != mask:
-        for i in members:
+        for i in _bits(mask):
             disjoint = mask >> (i + 1) << (i + 1) & ~rows[i]
             if disjoint:
                 j = (disjoint & -disjoint).bit_length() - 1
                 raise GeometryError(f"blocks {i} and {j} are disjoint")
-    size = len(members)
     if points > 0:  # points is -1 when there are no members
         while points:
             low = points & -points
             p = low.bit_length() - 1
             if pencils[p] == mask:
-                return CliqueClassification(members, size, "pencil", p)
+                return CliqueClassification("pencil", p)
             points ^= low
-    elif size >= 3:
+    elif mask.bit_count() >= 3:
         # the apex lies on every member but L, so on two of the first three;
         # taken from the top, so "<=" keeps the lowest (L, p)
-        a, b, c = masks[members[0]], masks[members[1]], masks[members[2]]
+        first = _bits(mask)
+        a, b, c = masks[next(first)], masks[next(first)], masks[next(first)]
         apexes = a & b | a & c | b & c
         best = None
         while apexes:
@@ -191,5 +190,5 @@ def classify_clique(S: IncidenceStructure, clique) -> CliqueClassification:
                 if near == mask and (best is None or L <= best[0]):
                     best = L, p
         if best is not None:
-            return CliqueClassification(members, size, "near_pencil", best[1], best[0])
-    return CliqueClassification(members, size, "other")
+            return CliqueClassification("near_pencil", best[1], best[0])
+    return CliqueClassification("other")

@@ -24,9 +24,9 @@ checked edges into the rows itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import GeometryError
 from .incidence import IncidenceStructure, _bits
@@ -80,24 +80,15 @@ class ConfluenceGraph:
                 and self.n == other.n and self.rows == other.rows)
 
 
-@dataclass(frozen=True)
-class SrgParams:
-    """Strongly regular graph parameters with exact integer eigenvalues."""
+class SrgParams(NamedTuple):
+    """Strongly regular graph parameters with exact integer eigenvalues
+    r >= s; the two builders guarantee their identities, none is checked."""
     v: int
     k: int
     lam: int
     mu: int
     r: int
     s: int
-
-    def __post_init__(self):
-        if self.r < self.s:
-            raise ValueError("eigenvalues must satisfy r >= s")
-        # r, s are the roots of x^2 - (lam - mu) x - (k - mu)
-        if self.r + self.s != self.lam - self.mu or self.r * self.s != -(self.k - self.mu):
-            raise ValueError("eigenvalues are not roots of the parameter quadratic")
-        if self.k * (self.k - self.lam - 1) != (self.v - self.k - 1) * self.mu:
-            raise ValueError("parameters violate the counting identity")
 
 
 def build_confluence(S: IncidenceStructure) -> ConfluenceGraph:
@@ -142,7 +133,9 @@ def srg_check(G: ConfluenceGraph) -> SrgParams | None:
     d = isqrt(disc)
     if d * d != disc:
         return None  # irrational eigenvalue pair; outside supported scope
-    # d^2 = (lam - mu)^2 + 4(k - mu) forces d = lam - mu (mod 2): r, s are integers
+    # d^2 = (lam - mu)^2 + 4(k - mu) forces d = lam - mu (mod 2): r >= s are
+    # the integer roots of x^2 - (lam - mu) x - (k - mu). Counting edges from
+    # a vertex's neighbours to the rest gives k(k - lam - 1) = (n - k - 1) mu.
     r = (lam - mu + d) // 2
     s = (lam - mu - d) // 2
     return SrgParams(v=n, k=k, lam=lam, mu=mu, r=r, s=s)
@@ -157,6 +150,7 @@ def expected_unital_params(q: int) -> SrgParams:
     mu = (q + 1) ** 2
     r = q * q - q - 2
     s = -(q + 1)
+    # rs = mu - k, and k(k - lam - 1) = (v - k - 1) mu = q(q-1)(q^2-q-1)(q+1)^2
     lam = mu + r + s  # forced by the eigenvalue quadratic; equals 2q^2 - 2
     return SrgParams(v=v, k=k, lam=lam, mu=mu, r=r, s=s)
 

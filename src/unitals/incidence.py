@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
@@ -147,8 +146,7 @@ class IncidenceStructure:
                 and self.blocks == other.blocks)
 
 
-@dataclass
-class DesignReport:
+class DesignReport(NamedTuple):
     """Pair-coverage summary of a structure."""
     is_partial_linear: bool          # every point pair on at most one block
     is_linear_space: bool            # every point pair on exactly one block

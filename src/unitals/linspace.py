@@ -68,25 +68,13 @@ of (b), and the line W.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeometryError, VerificationFailed
 from .incidence import IncidenceStructure, _common, validate
 
 
-@dataclass
-class AssumptionReport:
-    """Result of checking the standing assumptions for parameter q."""
-    q: int
-    is_linear_space: bool
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.is_linear_space and not self.violations
-
-
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(NamedTuple):
     """Explicit embedding of a linear space into a projective plane.
 
     point_map[i] is the host point carrying point i; deleted lists the
@@ -110,8 +98,9 @@ class LinSpaceClass:
     embedding: EmbeddingWitness | None = None
 
 
-def check_assumptions(D: IncidenceStructure, q: int) -> AssumptionReport:
-    """Verify: q^2 points, pencils <= q+1, line sizes <= q+1, linearity."""
+def check_assumptions(D: IncidenceStructure, q: int) -> tuple[str, ...]:
+    """The violations of: q^2 points, pencils <= q+1, line sizes <= q+1.
+    Linearity is left to validate."""
     violations = []
     if D.num_points != q * q:
         violations.append(f"point count {D.num_points} != q^2 = {q * q}")
@@ -121,9 +110,7 @@ def check_assumptions(D: IncidenceStructure, q: int) -> AssumptionReport:
     for i, block in enumerate(D.blocks):
         if len(block) > q + 1:
             violations.append(f"line {i} has {len(block)} > q+1 points")
-    report = validate(D)
-    return AssumptionReport(
-        q=q, is_linear_space=report.is_linear_space, violations=tuple(violations))
+    return tuple(violations)
 
 
 def projective_lines(D: IncidenceStructure, q: int) -> tuple[int, ...]:
@@ -173,10 +160,9 @@ def classify(D: IncidenceStructure, q: int, embed: bool = True) -> LinSpaceClass
     """
     if q < 3:
         raise GeometryError("classification requires q >= 3")
-    report = check_assumptions(D, q)
-    if not report.passed:
-        detail = "; ".join(report.violations) or "not a linear space"
-        raise VerificationFailed(detail)
+    violations = check_assumptions(D, q)
+    if violations or not validate(D).is_linear_space:
+        raise VerificationFailed("; ".join(violations) or "not a linear space")
     full = projective_lines(D, q)
     thin = thin_points(D, q)
     line_count = len(D.blocks)

@@ -8,7 +8,7 @@ q = 2 pencil recognition fails (the 12-vertex graph has 81 maximal
 cliques of size 4, far more than the 9 pencils); since all unitals of
 order 2 are isomorphic and SRG(12, 9, 6, 9) is their graph alone, a
 graph with those parameters gets the canonical affine plane of order 3,
-flagged as the shortcut.
+the shortcut. reconstruct_unital returns the rebuilt structure alone.
 
 Graph isomorphisms between confluence graphs of unitals of order q > 2
 extend to incidence isomorphisms: the image of each pencil is a size-q^2
@@ -27,7 +27,6 @@ a block claims a host only if no image of another point lies on it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -43,24 +42,12 @@ from .incidence import (
 )
 
 
-@dataclass
-class Reconstruction:
-    """A unital rebuilt from a confluence graph.
+def reconstruct_unital(G: ConfluenceGraph) -> IncidenceStructure:
+    """Rebuild a unital, up to isomorphism, from its confluence graph.
 
-    point_cliques[j] is the vertex set of the clique realizing point j.
-    Block indices of `structure` are in canonical sorted order, so the
-    vertex <-> block correspondence is a relabeling; the isomorphism
-    class is unaffected. For the q = 2 shortcut the clique list is empty
-    and `via_q2_shortcut` is set.
-    """
-    q: int
-    point_cliques: tuple[tuple[int, ...], ...]
-    structure: IncidenceStructure
-    via_q2_shortcut: bool = False
-
-
-def reconstruct_unital(G: ConfluenceGraph) -> Reconstruction:
-    """Rebuild a unital, up to isomorphism, from its confluence graph."""
+    Point j is the j-th size-q^2 clique in the enumerator's sorted list;
+    vertex v gives the block of the cliques holding it, and blocks are
+    sorted, a relabeling of the vertices. q is the block size minus 1."""
     q = infer_order(G)
     if q is None:
         raise VerificationFailed(
@@ -72,10 +59,8 @@ def reconstruct_unital(G: ConfluenceGraph) -> Reconstruction:
         if srg_check(G) != expected_unital_params(2):
             raise VerificationFailed("12-vertex graph is not the order-2 "
                                      "unital graph SRG(12, 9, 6, 9)")
-        return Reconstruction(q=2, point_cliques=(),
-                              structure=affine_plane(3), via_q2_shortcut=True)
-    point_cliques = tuple(c for c in enumerate_maximal_cliques(G)
-                          if len(c) == q * q)
+        return affine_plane(3)
+    point_cliques = [c for c in enumerate_maximal_cliques(G) if len(c) == q * q]
     if len(point_cliques) != q**3 + 1:
         raise VerificationFailed(
             f"{len(point_cliques)} maximal cliques of size {q * q}, "
@@ -84,15 +69,15 @@ def reconstruct_unital(G: ConfluenceGraph) -> Reconstruction:
     for j, clique in enumerate(point_cliques):
         for vertex in clique:
             membership[vertex].append(j)
-    if any(len(m) != q + 1 for m in membership):
-        raise VerificationFailed("some block lies in a wrong number of point cliques")
+    # a vertex in fewer than 2 cliques fails the constructor; in any other
+    # wrong count, a block size other than q + 1 fails validate_unital
     try:
         structure = IncidenceStructure(len(point_cliques), membership)
     except GeometryError as exc:
         raise VerificationFailed(f"rebuilt blocks are degenerate: {exc}") from exc
     if validate_unital(structure) != q:
         raise VerificationFailed("rebuilt structure fails the design validation")
-    return Reconstruction(q=q, point_cliques=point_cliques, structure=structure)
+    return structure
 
 
 def extend_graph_isomorphism(beta, S: IncidenceStructure,

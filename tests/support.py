@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations
 
 from unitals.algebra import field_create
@@ -325,24 +324,21 @@ def classify_clique_oracle(S, clique) -> CliqueClassification:
     for i, j in combinations(members, 2):
         if not sets[i] & sets[j]:
             raise GeometryError(f"blocks {i} and {j} are disjoint")
-    size = len(members)
-
     common = frozenset.intersection(*(sets[i] for i in members)) if members else ()
     for p in sorted(common):
         if tuple(i for i, b in enumerate(sets) if p in b) == members:
-            return CliqueClassification(members, size, "pencil", point=p)
+            return CliqueClassification("pencil", point=p)
 
-    if size >= 3:
+    if len(members) >= 3:
         for L in members:
             apex = frozenset.intersection(*(sets[i] for i in members if i != L)) - sets[L]
             for p in sorted(apex):
                 try:
                     if near_pencil(S, p, L) == members:
-                        return CliqueClassification(
-                            members, size, "near_pencil", point=p, line=L)
+                        return CliqueClassification("near_pencil", point=p, line=L)
                 except GeometryError:
                     continue
-    return CliqueClassification(members, size, "other")
+    return CliqueClassification("other")
 
 
 def near_pencil(S, p: int, L: int) -> tuple[int, ...]:
@@ -558,6 +554,6 @@ def witness_mutants(w):
     for i, j in combinations(range(len(pm)), 2):
         swapped = list(pm)
         swapped[i], swapped[j] = pm[j], pm[i]
-        yield replace(w, point_map=tuple(swapped))
+        yield w._replace(point_map=tuple(swapped))
     for k in range(len(w.deleted)):
-        yield replace(w, deleted=w.deleted[:k] + w.deleted[k + 1:])
+        yield w._replace(deleted=w.deleted[:k] + w.deleted[k + 1:])

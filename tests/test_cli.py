@@ -165,8 +165,9 @@ def test_cliques_report_is_the_stdlib_encoding(tmp_path, blocks, flags):
 def test_clique_records_are_written_whole_across_batches(tmp_path, count):
     records = [{"blocks": [i, i + 1], "size": 2, "tag": "near_pencil", "point": i, "line": 0}
                for i in range(count)]
+    names = [str(i) for i in range(count + 1)]
     path = tmp_path / "report.json"
-    cli._write_records(path, (cli._clique_record(r["blocks"], 2, "near_pencil", r["point"], 0)
+    cli._write_records(path, (cli._clique_record(names, r["blocks"], "near_pencil", r["point"], 0)
                               for r in records))
     assert path.read_text() == json.dumps(records, indent=1) + "\n"
 

@@ -188,7 +188,7 @@ def test_max_clique_sizes_on_unitals(cg2, cg3):
 
 def test_classify_pencil(h3):
     result = classify_clique(h3, h3.point_blocks[5])
-    assert result.tag == "pencil" and result.point == 5 and result.size == 9
+    assert result == ("pencil", 5, None)
 
 
 def test_classify_near_pencil(h3):
@@ -196,7 +196,7 @@ def test_classify_near_pencil(h3):
     blocks = near_pencil(h3, 7, L)
     result = classify_clique(h3, blocks)
     assert result.tag == "near_pencil"
-    assert result.point == 7 and result.line == L and result.size == 5
+    assert result.point == 7 and result.line == L
 
 
 def test_classify_triangle_as_other(h3):
@@ -334,7 +334,7 @@ def test_classify_agrees_with_oracle_on_random_structures():
         for clique in enumerate_maximal_cliques(build_confluence(S)) + subsets:
             fast = _outcome(classify_clique, S, clique)
             assert fast == _outcome(classify_clique_oracle, S, clique), (k, clique)
-            seen.add("not a clique" if isinstance(fast, str) else (fast.tag, fast.size > 3))
+            seen.add("not a clique" if isinstance(fast, str) else (fast.tag, len(set(clique)) > 3))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
     # the sweep reaches every branch of the tagger
@@ -381,7 +381,7 @@ def test_buekenhout_metz_unital_cliques():
     assert len(found) == 2512
     assert Counter(len(c) for c in found) == {5: 2484, 9: 28}
     tagged = [classify_clique(bm3, c) for c in found]
-    assert Counter((t.tag, t.size) for t in tagged) == {
+    assert Counter((t.tag, len(set(c))) for t, c in zip(tagged, found)) == {
         ("pencil", 9): 28, ("near_pencil", 5): 1512, ("other", 5): 972}
     assert sorted(t.point for t in tagged if t.tag == "pencil") == list(range(28))
 

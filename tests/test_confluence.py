@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
     block_sets,
+    buekenhout_metz_unital,
     edges_oracle,
     format_dimacs_oracle,
     graph_from_edges,
@@ -246,9 +247,29 @@ def test_dimacs_writer_matches_line_by_line_oracle(q, request):
     assert format_dimacs(G) == format_dimacs_oracle(G)
 
 
-def test_params_constructor_rejects_wrong_eigenvalues():
-    with pytest.raises(ValueError):
-        SrgParams(v=63, k=32, lam=16, mu=16, r=5, s=-4)
+def test_both_builders_give_roots_and_the_counting_identity(cg2, cg3, cg4):
+    # SrgParams checks nothing itself: srg_check takes r >= s as the roots
+    # of x^2 - (lam - mu) x - (k - mu), and double counting gives
+    # k(k - lam - 1) = (v - k - 1) mu; in expected_unital_params all three
+    # are identities in q
+    T5 = build_confluence(IncidenceStructure(5, combinations(range(5), 2)))
+    petersen = graph_from_edges(10, [(i, j) for i, j in combinations(range(10), 2)
+                                     if not T5.rows[i] >> j & 1])
+    graphs = [cg2, cg3, cg4, petersen,
+              build_confluence(buekenhout_metz_unital(4)),
+              *(build_confluence(affine_plane(q)) for q in (2, 3, 4, 5)),
+              # triangular graphs T(n) and lattice graphs L2(n)
+              *(build_confluence(IncidenceStructure(n, combinations(range(n), 2)))
+                for n in range(4, 9)),
+              *(build_confluence(IncidenceStructure(
+                  2 * n, [(i, n + j) for i in range(n) for j in range(n)]))
+                for n in range(2, 6))]
+    found = [srg_check(G) for G in graphs]
+    assert None not in found
+    for p in found + [expected_unital_params(q) for q in range(2, 26)]:
+        assert p.r + p.s == p.lam - p.mu and p.r * p.s == -(p.k - p.mu), p
+        assert p.r >= p.s, p
+        assert p.k * (p.k - p.lam - 1) == (p.v - p.k - 1) * p.mu, p
 
 
 def test_hoffman_bound_examples():

@@ -421,31 +421,30 @@ def test_isomorphic_agrees_with_brute_force_on_small_structures():
 # --- reconstruction ---
 
 def test_reconstruct_unital3(h3, cg3):
-    rec = reconstruct_unital(cg3)
-    assert rec.q == 3 and not rec.via_q2_shortcut
-    assert len(rec.point_cliques) == 28
-    assert validate_unital(rec.structure) == 3
-    witness = isomorphic(rec.structure, h3)
+    rebuilt = reconstruct_unital(cg3)
+    assert validate_unital(rebuilt) == 3
+    assert rebuilt.num_points == 28
+    witness = isomorphic(rebuilt, h3)
     assert witness is not None
-    _check_witness(rec.structure, h3, witness)
+    _check_witness(rebuilt, h3, witness)
 
 
 def test_reconstruct_non_hermitian_unital():
     # the confluence graph determines every unital, not only the Hermitian
     # ones: the Buekenhout-Metz unital of order 3 has O'Nan configurations
     bm3 = buekenhout_metz_unital(4)
-    rec = reconstruct_unital(build_confluence(bm3))
-    assert rec.q == 3 and not rec.via_q2_shortcut
-    witness = isomorphic(rec.structure, bm3)
+    rebuilt = reconstruct_unital(build_confluence(bm3))
+    assert validate_unital(rebuilt) == 3
+    witness = isomorphic(rebuilt, bm3)
     assert witness is not None
-    _check_witness(rec.structure, bm3, witness)
+    _check_witness(rebuilt, bm3, witness)
 
 
 def test_reconstruct_q2_shortcut(h2, cg2):
-    rec = reconstruct_unital(cg2)
-    assert rec.q == 2 and rec.via_q2_shortcut
-    assert rec.point_cliques == ()
-    assert isomorphic(rec.structure, h2) is not None
+    rebuilt = reconstruct_unital(cg2)
+    assert validate_unital(rebuilt) == 2
+    assert rebuilt == affine_plane(3)
+    assert isomorphic(rebuilt, h2) is not None
 
 
 def test_q2_pencil_recognition_fails(cg2):
@@ -463,8 +462,7 @@ def test_reconstruction_is_relabel_invariant(h3, cg3):
             if cg3.rows[i] >> j & 1:
                 rows[perm[i]] |= 1 << perm[j]
     shuffled = ConfluenceGraph(63, rows)
-    rec = reconstruct_unital(shuffled)
-    assert isomorphic(rec.structure, h3) is not None
+    assert isomorphic(reconstruct_unital(shuffled), h3) is not None
 
 
 def test_reconstruct_rejects_non_unital_graph():
@@ -515,6 +513,42 @@ def test_reconstruct_rejects_swapped_h4_graph(cg4, seed):
     with pytest.raises(VerificationFailed,
                        match=r"^63 maximal cliques of size 16, expected 65$"):
         reconstruct_unital(swapped)
+
+
+def _reconstruct_from_pencils(monkeypatch, cg3, pencils):
+    """reconstruct_unital on the h3 graph, with the clique enumerator
+    patched to return the 28 given 9-vertex cliques."""
+    assert len(pencils) == 28 and {len(c) for c in pencils} == {9}
+    cliques = [tuple(sorted(c)) for c in pencils]
+    monkeypatch.setattr("unitals.reconstruct.enumerate_maximal_cliques", lambda G: cliques)
+    return reconstruct_unital(cg3)
+
+
+def test_reconstruct_rejects_pencils_that_trade_two_vertices(h3, cg3, monkeypatch):
+    # x and y stay in 4 cliques each, so every block keeps q + 1 points,
+    # but two points now share two blocks
+    pencils = [set(c) for c in sorted(h3.point_blocks)]
+    A, B = pencils[:2]
+    x, y = min(A - B), min(B - A)
+    A ^= {x, y}
+    B ^= {x, y}
+    with pytest.raises(VerificationFailed,
+                       match=r"^rebuilt structure fails the design validation$"):
+        _reconstruct_from_pencils(monkeypatch, cg3, pencils)
+
+
+def test_reconstruct_rejects_a_vertex_in_one_pencil(h3, cg3, monkeypatch):
+    # vertex 0 stays in the first clique alone: every other pencil through
+    # it takes the lowest vertex it lacks instead
+    pencils = [set(c) for c in sorted(h3.point_blocks)]
+    assert 0 in pencils[0]
+    for c in pencils[1:]:
+        if 0 in c:
+            c.remove(0)
+            c.add(min(set(range(1, 63)) - c))
+    with pytest.raises(VerificationFailed, match=r"^rebuilt blocks are degenerate: "
+                                                r"block \(0,\) has fewer than 2 points$"):
+        _reconstruct_from_pencils(monkeypatch, cg3, pencils)
 
 
 def test_reconstruct_rejects_h3_graph_without_one_edge(cg3):
