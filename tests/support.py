@@ -86,6 +86,23 @@ def block_rejection_oracle(num_points: int, blocks) -> str | None:
     return None
 
 
+def json_rejection_oracle(n: int, blocks) -> str | None:
+    """The message from_json_dict rejects the incidence-v1 dict of n points
+    and these blocks with, or None, by checking one block at a time: the
+    reference for the reader's block checks. What the reader passes goes
+    on to the constructor, whose reference is block_rejection_oracle."""
+    for block in blocks:
+        if not isinstance(block, list) or not all(type(x) is int for x in block):
+            return f"block {block!r} is not an array of integers"
+        if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+            return f"block {block} is not strictly increasing"
+        if block and (block[0] < 0 or block[-1] >= n):
+            return f"block {block} out of range"
+    if any(blocks[i] >= blocks[i + 1] for i in range(len(blocks) - 1)):
+        return "blocks are not sorted lexicographically without duplicates"
+    return block_rejection_oracle(n, blocks)
+
+
 def graph_from_edges(n: int, edges) -> ConfluenceGraph:
     """The graph on vertices 0..n-1 with the given (i, j) edges, in
     either orientation; the constructor rejects loops and bad indices."""

@@ -14,6 +14,7 @@ from support import (
     block_sets,
     buekenhout_metz_unital,
     format_json_oracle,
+    json_rejection_oracle,
     linearity_oracle,
     near_pencil,
     pair_coverage,
@@ -583,6 +584,63 @@ def test_json_reader_rejects_violations(mangle):
     mangle(good)
     with pytest.raises(GeometryError, match=f"^{re.escape(_JSON_REJECTIONS[mangle])}$"):
         from_json_dict(good)
+
+
+def _mutated_blocks(seed: int) -> tuple[int, list]:
+    """A point count and the blocks of a random valid structure after 0..2
+    seeded mutations: bools, floats and nested lists as points, non-list
+    and empty blocks, unsorted and out-of-range blocks, repeated and
+    swapped blocks; two mutations can put a bad block before a worse one."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    blocks = sorted({tuple(sorted(rng.sample(range(n), rng.randrange(2, n + 1))))
+                     for _ in range(rng.randrange(1, 7))})
+    blocks = [list(b) for b in blocks]
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(blocks))
+        block = blocks[i]
+        kind = rng.randrange(9)
+        if kind in (0, 1, 2, 5, 6, 7) and not (isinstance(block, list) and block):
+            continue  # these mutations need a block of points
+        if kind == 0:
+            block[rng.randrange(len(block))] = rng.choice((True, False))
+        elif kind == 1:
+            block[rng.randrange(len(block))] = float(rng.randrange(n))
+        elif kind == 2:
+            block[rng.randrange(len(block))] = [rng.randrange(n)]
+        elif kind == 3:
+            blocks[i] = rng.choice(("01", 3, None, {"0": 1}, (0, 1)))
+        elif kind == 4:
+            blocks[i] = rng.choice(([], [rng.randrange(n)]))
+        elif kind == 5:
+            block.reverse()
+        elif kind == 6:
+            block[rng.choice((0, -1))] = rng.choice((-1, n, n + 5))
+        elif kind == 7:
+            blocks.insert(i, list(block))
+        elif kind == 8 and i + 1 < len(blocks):
+            blocks[i], blocks[i + 1] = blocks[i + 1], block
+    return n, blocks
+
+
+def _reader_verdict(n: int, blocks) -> str | None:
+    try:
+        from_json_dict({"format": "incidence-v1", "num_points": n, "blocks": blocks})
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def test_json_reader_rejections_match_the_per_block_walk():
+    verdicts = [json_rejection_oracle(*_mutated_blocks(seed)) for seed in range(1500)]
+    assert [_reader_verdict(*_mutated_blocks(seed)) for seed in range(1500)] == verdicts
+    # every branch is taken: acceptance and each of the reader's and the
+    # constructor's block messages
+    assert {re.sub(r"\[.*\]|\(.*\)|'.*'|-?\d+|None|\{.*\}", "#", v or "accepted")
+            for v in verdicts} == {
+        "accepted", "block # is not an array of integers", "block # is not strictly increasing",
+        "block # out of range", "blocks are not sorted lexicographically without duplicates",
+        "block # has fewer than # points"}
 
 
 _AWKWARD_LABELS = ['"', "\\", "\n", "\t\x00\x7f", "é", "☃", "😀", "\ud800", "", "a b"]
