@@ -32,8 +32,8 @@ format_json, the one writer, whose text the CLI emits). format_json
 writes the text itself, byte for byte what json.dumps(..., indent=1)
 writes, without that pure-Python encoder; the same private writer
 writes the ``classify-linspace --json`` report. The reader and the
-constructor check all blocks in whole-list passes, and walk the blocks
-one at a time only to name the first bad one.
+constructor check the blocks in one walk, naming the first bad one; the
+reader refuses more than MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -43,11 +43,15 @@ import math
 from functools import cached_property
 from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, lt
+from operator import lt
 from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Field, field_create, prime_power
 from .errors import GeometryError, VerificationFailed
+
+# from_json_dict refuses more points, as commands allocate per point; the
+# cap matches confluence.MAX_VERTICES
+MAX_POINTS = 4096
 
 
 def _bits(mask: int):
@@ -87,16 +91,13 @@ class IncidenceStructure:
         if num_points < 0:
             raise GeometryError("negative point count")
         norm = [tuple(sorted(raw)) for raw in blocks]
-        if not (min(map(len, norm), default=2) >= 2 and all(map(_increasing, norm))
-                and min(map(itemgetter(0), norm), default=0) >= 0
-                and max(map(itemgetter(-1), norm), default=-1) < num_points):
-            for block in norm:  # name the first bad block
-                if len(block) < 2:
-                    raise GeometryError(f"block {block} has fewer than 2 points")
-                if not _increasing(block):
-                    raise GeometryError(f"block {block} repeats a point")
-                if block[0] < 0 or block[-1] >= num_points:
-                    raise GeometryError(f"block {block} out of range 0..{num_points - 1}")
+        for block in norm:
+            if len(block) < 2:
+                raise GeometryError(f"block {block} has fewer than 2 points")
+            if not _increasing(block):
+                raise GeometryError(f"block {block} repeats a point")
+            if block[0] < 0 or block[-1] >= num_points:
+                raise GeometryError(f"block {block} out of range 0..{num_points - 1}")
         norm.sort()
         if not _increasing(norm):
             twin = next(a for a, b in pairwise(norm) if a == b)
@@ -424,19 +425,18 @@ def from_json_dict(data: dict) -> IncidenceStructure:
     n = data.get("num_points")
     if type(n) is not int or n < 0:  # bool is an int subclass; JSON true is not a count
         raise GeometryError('"num_points" must be a non-negative integer')
+    if n > MAX_POINTS:
+        raise GeometryError(f"point count {n} exceeds {MAX_POINTS}")
     blocks = data.get("blocks")
     if not isinstance(blocks, list):
         raise GeometryError('"blocks" must be an array')
-    int_lists = set(map(type, blocks)) <= {list} and set(map(type, chain(*blocks))) <= {int}
-    if not (int_lists and all(map(_increasing, blocks))
-            and min(chain(*blocks), default=0) >= 0 and max(chain(*blocks), default=-1) < n):
-        for block in blocks:  # name the first bad block
-            if not isinstance(block, list) or not all(type(x) is int for x in block):
-                raise GeometryError(f"block {block!r} is not an array of integers")
-            if not _increasing(block):
-                raise GeometryError(f"block {block} is not strictly increasing")
-            if block and (block[0] < 0 or block[-1] >= n):
-                raise GeometryError(f"block {block} out of range")
+    for block in blocks:
+        if not isinstance(block, list) or not set(map(type, block)) <= {int}:
+            raise GeometryError(f"block {block!r} is not an array of integers")
+        if not _increasing(block):
+            raise GeometryError(f"block {block} is not strictly increasing")
+        if block and (block[0] < 0 or block[-1] >= n):
+            raise GeometryError(f"block {block} out of range")
     if not _increasing(blocks):
         raise GeometryError("blocks are not sorted lexicographically without duplicates")
     labels = data.get("labels")

@@ -17,11 +17,12 @@ point bijection.
 
 `isomorphic` is an independent incidence-structure isomorphism tester
 used to verify these claims; it never consults clique or graph
-machinery. It colors the points of both structures by refinement, which
-splits cells only against the cells that just split (so a structure
-whose first coloring has one cell is done at once), then backtracks
-within the color classes: a point on two claimed blocks goes first, and
-a block claims a host only if no image of another point lies on it.
+machinery. It colors the points of the disjoint union of the two
+structures by refinement, which splits cells only against the cells that
+just split (a one-cell start is done at once), and needs each color to
+hold as many points of one as of the other; then it backtracks within
+the color classes: a point on two claimed blocks goes first, and a
+block claims a host only if no image of another point lies on it.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
                 colors1: Sequence[int], colors2: Sequence[int]) -> list[int] | None:
     """Point bijection of S1 onto S2 that keeps colors and sends every
     block onto an S2 block, or None if there is none. The structures have
-    equal point and block counts.
+    equal point and block counts: _refined_colors balanced every color.
 
     Each block's hosts start as the S2 blocks of its size and are ANDed
     with the pencils of its assigned images; a block is claimed when one
@@ -245,122 +246,108 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
 
 def _refined_colors(S1: IncidenceStructure,
                     S2: IncidenceStructure) -> tuple[list[int], list[int]] | None:
-    """Jointly refine point colors of both structures, from the blocks alone.
+    """Refine point colors of the disjoint union of S1 and S2 (S2's points
+    and blocks numbered after S1's), from the blocks alone.
 
-    A color is a cell: the points of that color in S1 and in S2. Colors
-    start as the sorted sizes of the blocks through each point, numbered
-    through a palette shared by both structures. The refinement then
-    splits cells by splitters (McKay 1981) until no splitter is left.
-    Popping a splitter C, every point x counts its incidences with C, by
-    walking each y in C, each block through y and each point on that
-    block (a point sharing k blocks with y counts k times, itself once
-    per block through it); every cell holding points of different
-    counts splits into one piece per count, uncounted points having
-    count 0. A cell still waiting to split others queues all its pieces;
-    any other cell queues all but its largest, as a point's count
+    Colors start as the sorted sizes of the blocks through each point,
+    numbered through one palette; a color is a cell of the union's points.
+    The refinement splits cells by splitters (McKay 1981) until no
+    splitter is left. Popping a splitter C, every point x counts its
+    incidences with C, by walking each y in C, each block through y and
+    each point on that block (a point sharing k blocks with y counts k
+    times, itself once per block through it); every cell holding points
+    of different counts splits into one piece per count, uncounted points
+    having count 0. A cell still waiting to split others queues all its
+    pieces; any other cell queues all but its largest, as a point's count
     against that piece is its count against the old cell, which all the
     cell's points share, less its counts against the other pieces.
 
     The first colors are already stable against the whole point set: a
     point's incidences with it number the sum of its block sizes, which
-    its first color fixes. So every first cell but the largest is
-    queued, and a one-cell start is finished. The result is the coarsest
-    stable coloring finer than the first, the fixed point of re-keying
-    every point by its color and the multiset of its block mates'
-    colors, round after round.
+    its first color fixes. So every first cell but the largest is queued,
+    and a one-cell start is finished before the union is built. The
+    result is the coarsest stable coloring finer than the first, the
+    fixed point of re-keying every point by its color and the multiset of
+    its block mates' colors, round after round.
 
-    Returns None as soon as a cell holds unequally many points of the two
-    structures, or splits into pieces that differ between them (the
-    structures cannot be isomorphic; the first colors already compare
-    the block sizes); otherwise the stable coloring.
+    Returns None when a stable cell holds unequally many points of S1 and
+    S2, else the colors of S1's points and of S2's, numbered alike, which
+    _map_points reads as classes. The one check is exact: a split divides
+    a cell's S1 and S2 points among its pieces, so an unbalanced cell
+    leaves one in every finer coloring. Unequal point counts unbalance the
+    first colors, and so do unequal block counts, since the first colors'
+    multiset fixes the number of blocks of each size.
     """
-    sides = (S1, S2)
-    keys = [[tuple(sorted(len(S.blocks[b]) for b in pb)) for pb in S.point_blocks]
-            for S in sides]
-    palette = {k: c for c, k in enumerate(sorted(set(keys[0]) | set(keys[1])))}
-    colors = [[palette[k] for k in side_keys] for side_keys in keys]
-    counts = Counter(colors[0])
-    if counts != Counter(colors[1]):
-        return None
-    # points of each cell in either structure
-    sizes = [counts[c] for c in range(len(palette))]
-    largest = max(range(len(sizes)), key=sizes.__getitem__, default=None)
-    queued = [c != largest for c in range(len(sizes))]
-    queue = [c for c in range(len(sizes)) if queued[c]]
-    cells: list[list[set[int]]] = [[set() for _ in sizes] for _ in sides]
-    for side_cells, side_colors in zip(cells, colors):
-        for x, c in enumerate(side_colors):
-            side_cells[c].add(x)
+    n1 = S1.num_points
+    keys = [tuple(sorted(len(S.blocks[b]) for b in pb))
+            for S in (S1, S2) for pb in S.point_blocks]
+    palette = {k: c for c, k in enumerate(sorted(set(keys)))}
+    colors = [palette[k] for k in keys]
+    cells: list[set[int]] = [set() for _ in palette]
+    for x, c in enumerate(colors):
+        cells[c].add(x)
+    largest = max(range(len(cells)), key=lambda c: len(cells[c]), default=None)
+    queued = [c != largest for c in range(len(cells))]
+    queue = [c for c in range(len(cells)) if queued[c]]
+    if queue:  # the union's tables; a one-cell start needs none
+        shift = len(S1.blocks)
+        blocks = S1.blocks + tuple([x + n1 for x in b] for b in S2.blocks)
+        point_blocks = S1.point_blocks + tuple([b + shift for b in pb] for pb in S2.point_blocks)
     while queue:
         splitter = queue.pop()
         queued[splitter] = False
-        # per structure: touched cell -> count -> its points with that count
-        touched: list[dict[int, dict[int, list[int]]]] = []
-        for S, side_cells, side_colors in zip(sides, cells, colors):
-            incidences = Counter(chain.from_iterable(map(
-                S.blocks.__getitem__,
-                chain.from_iterable(map(S.point_blocks.__getitem__,
-                                        side_cells[splitter])))))
-            by_cell: dict[int, dict[int, list[int]]] = {}
-            for x, k in incidences.items():
-                by_cell.setdefault(side_colors[x], {}).setdefault(k, []).append(x)
-            touched.append(by_cell)
-        if touched[0].keys() != touched[1].keys():
-            return None
-        for c, pieces1 in touched[0].items():
-            pieces2 = touched[1][c]
-            piece_sizes = {k: len(v) for k, v in pieces1.items()}
-            if piece_sizes != {k: len(v) for k, v in pieces2.items()}:
-                return None
-            rest = sizes[c] - sum(piece_sizes.values())  # points of count 0
-            if not rest and len(piece_sizes) == 1:
+        incidences = Counter(chain.from_iterable(map(
+            blocks.__getitem__,
+            chain.from_iterable(map(point_blocks.__getitem__, cells[splitter])))))
+        touched: dict[int, dict[int, list[int]]] = {}  # cell -> count -> points
+        for x, k in incidences.items():
+            touched.setdefault(colors[x], {}).setdefault(k, []).append(x)
+        for c, by_count in touched.items():
+            rest = len(cells[c]) - sum(map(len, by_count.values()))  # points of count 0
+            if not rest and len(by_count) == 1:
                 continue
             # the count-0 points keep the cell's color, or else the lowest count
-            moved = sorted(piece_sizes)[0 if rest else 1:]
+            moved = sorted(by_count)[0 if rest else 1:]
             pieces = [c]
             for k in moved:
-                pieces.append(len(sizes))
-                for side_cells, side_colors, side_pieces in zip(cells, colors,
-                                                                (pieces1, pieces2)):
-                    piece = side_pieces[k]
-                    side_cells[c].difference_update(piece)
-                    side_cells.append(set(piece))
-                    for x in piece:
-                        side_colors[x] = pieces[-1]
-                sizes.append(piece_sizes[k])
-                sizes[c] -= piece_sizes[k]
+                piece = by_count[k]
+                pieces.append(len(cells))
+                cells[c].difference_update(piece)
+                cells.append(set(piece))
+                for x in piece:
+                    colors[x] = pieces[-1]
                 queued.append(False)
-            skip = None if queued[c] else max(pieces, key=sizes.__getitem__)
+            skip = None if queued[c] else max(pieces, key=lambda p: len(cells[p]))
             for piece in pieces:
                 if piece != skip and not queued[piece]:
                     queued[piece] = True
                     queue.append(piece)
-    return colors[0], colors[1]
+    if sorted(colors[:n1]) != sorted(colors[n1:]):
+        return None
+    return colors[:n1], colors[n1:]
 
 
 def isomorphic(S1: IncidenceStructure,
                S2: IncidenceStructure) -> list[int] | None:
     """Point bijection carrying blocks onto blocks, or None.
 
-    After the point and block counts, color refinement read from the
-    blocks (see _refined_colors; it also rejects differing block sizes)
-    colors both point sets; then the backtracking search _map_points
-    maps each point into its color class and each block onto an S2
-    block of its size. Its order is deterministic, so
-    testing a structure against itself gives the identity. Every block
-    image is re-checked before returning.
+    Color refinement of the disjoint union, read from the blocks (see
+    _refined_colors; its balanced colors imply equal point counts and
+    block sizes) colors both point sets; then the backtracking search
+    _map_points maps each point into its color class and each block onto
+    an S2 block of its size. Its order is deterministic, so testing a
+    structure against itself gives the identity. Every block image is
+    re-checked before returning.
     """
-    if S1.num_points != S2.num_points or len(S1.blocks) != len(S2.blocks):
-        return None
-
     colors = _refined_colors(S1, S2)
     if colors is None:
         return None
     result = _map_points(S1, S2, *colors)
     if result is None:
         return None
-    # safety net; full-image compatibility already forces this. The block
-    # counts are equal, so equal sets also mean the images are distinct
+    # safety net; full-image compatibility already forces this. The
+    # refinement made the block counts equal, so equal sets also mean the
+    # images are distinct
     if {tuple(sorted(result[x] for x in b)) for b in S1.blocks} != set(S2.blocks):
         return None
     return result

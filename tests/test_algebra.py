@@ -40,7 +40,7 @@ def test_create_gf9_least_irreducible():
 
 
 def test_create_rejects_non_prime_power():
-    for q in (6, 12):
+    for q in (1, 6, 12):
         with pytest.raises(GeometryError, match=f"^{q} is not a prime power$"):
             field_create(q)
 

@@ -10,6 +10,7 @@ from unitals import cli
 from unitals.cli import main
 from unitals.confluence import format_dimacs, read_dimacs
 from unitals.incidence import (
+    MAX_POINTS,
     IncidenceStructure,
     conic_points,
     find_onan,
@@ -542,6 +543,19 @@ def test_build_refuses_a_huge_q_before_factoring_it(monkeypatch, capsys, target,
     monkeypatch.setattr("unitals.algebra.prime_power", factor)
     assert run("build", target, "--q", "2305843009213693951") == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_build_refuses_a_prime_power_above_the_hermitian_cap(capsys):
+    assert run("build", "hermitian", "--q", "7") == 2
+    assert capsys.readouterr() == ("", "error: hermitian_unital supports q <= 5\n")
+
+
+def test_graph_refuses_more_points_than_the_cap(tmp_path, capsys):
+    path = tmp_path / "blockless.json"
+    n = MAX_POINTS + 1
+    path.write_text(json.dumps({"format": "incidence-v1", "num_points": n, "blocks": []}))
+    assert run("graph", str(path)) == 2
+    assert capsys.readouterr() == ("", f"error: point count {n} exceeds {MAX_POINTS}\n")
 
 
 @pytest.mark.parametrize("spec, blocks", [

@@ -25,6 +25,7 @@ from support import (
 from unitals.algebra import field_create, prime_power
 from unitals.errors import GeometryError
 from unitals.incidence import (
+    MAX_POINTS,
     IncidenceStructure,
     OnanConfiguration,
     _json_text,
@@ -341,6 +342,11 @@ def test_hermitian_rejects_non_prime_power():
         hermitian_unital(6)
 
 
+def test_hermitian_refuses_a_prime_power_above_its_cap():
+    with pytest.raises(ValueError, match="^hermitian_unital supports q <= 5$"):
+        hermitian_unital(7)
+
+
 # --- pencils and near pencils ---
 
 def test_pencil_sizes(h3):
@@ -575,6 +581,10 @@ _JSON_REJECTIONS = {
         "block [0, 9] out of range",
     # blocks given as an object
     (lambda d: d.update(blocks={})): '"blocks" must be an array',
+    # more points than the cap, refused before anything is built per point
+    (lambda d: d.update(num_points=10**18)): f"point count {10**18} exceeds {MAX_POINTS}",
+    (lambda d: d.update(num_points=MAX_POINTS + 1)):
+        f"point count {MAX_POINTS + 1} exceeds {MAX_POINTS}",
 }
 
 
@@ -689,6 +699,11 @@ def test_json_writer_matches_stdlib_on_mixed_values(value):
 def test_json_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def test_json_reader_accepts_the_point_cap():
+    data = {"format": "incidence-v1", "num_points": MAX_POINTS, "blocks": [[0, MAX_POINTS - 1]]}
+    assert from_json_dict(data).num_points == MAX_POINTS
 
 
 def test_json_reader_rejects_short_block():

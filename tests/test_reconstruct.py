@@ -55,6 +55,21 @@ def test_point_count_mismatch(h3):
     assert isomorphic(h3, affine_plane(3)) is None
 
 
+def test_unequal_sizes_are_not_isomorphic_either_way():
+    # the refinement's balanced colors are the only size check
+    ag3 = affine_plane(3)
+    pairs = {
+        "paths of 5 and 6 points": (_path(5), _path(6)),
+        "4 and 5 points, no blocks": (IncidenceStructure(4, []), IncidenceStructure(5, [])),
+        "0 and 1 point": (IncidenceStructure(0, []), IncidenceStructure(1, [])),
+        "AG(2,3) and AG(2,3) less a block": (ag3, IncidenceStructure(9, ag3.blocks[1:])),
+    }
+    for name, (S1, S2) in pairs.items():
+        assert isomorphic(S1, S2) is None, name
+        assert isomorphic(S2, S1) is None, name
+    assert isomorphic(IncidenceStructure(0, []), IncidenceStructure(0, [])) == []
+
+
 def test_relabeled_structure_is_isomorphic(h3):
     sigma = [(5 * i + 3) % 28 for i in range(28)]
     assert sorted(sigma) == list(range(28))
