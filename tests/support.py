@@ -68,7 +68,7 @@ def format_json_oracle(S: IncidenceStructure) -> str:
 def block_rejection_oracle(num_points: int, blocks) -> str | None:
     """The message IncidenceStructure(num_points, blocks) rejects its
     blocks with, or None, by checking one block at a time: the reference
-    for the constructor's whole-list checks."""
+    for the constructor's block checks."""
     norm = []
     for raw in blocks:
         block = tuple(sorted(raw))
