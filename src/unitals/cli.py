@@ -191,9 +191,7 @@ def cmd_cliques(args) -> int:
         if q is not None:
             status = _unital_census(S, q, Counter(zip((t.tag for t in tagged), map(len, found))))
     if args.json:
-        names = [str(i) for i in range(G.n)]  # each block index formatted once
-        _write_records(args.json, (_clique_record(names, c, *t)
-                                   for c, t in zip(found, tagged)))
+        _write_clique_report(args.json, found, tagged, G.n)
     return status
 
 
@@ -232,36 +230,25 @@ def _unital_census(S: inc.IncidenceStructure, q: int, kinds: Counter) -> int:
     return 0
 
 
-def _clique_record(names: list[str], blocks, tag: str | None = None,
-                   point: int | None = None, line: int | None = None) -> str:
-    """One clique-report record, as json.dump(..., indent=1) writes the dict
-    {"blocks", "size", "tag", "point", "line"} (None values left out) as an
-    item of a top-level list; names[i] is str(i). Tags are fixed ASCII
-    words, so they need no escaping."""
-    text = (' {\n  "blocks": [\n   ' + ",\n   ".join(map(names.__getitem__, blocks))
-            + f'\n  ],\n  "size": {len(blocks)}')
-    if tag is not None:
-        text += f',\n  "tag": "{tag}"'
-    if point is not None:
-        text += f',\n  "point": {point}'
-    if line is not None:
-        text += f',\n  "line": {line}'
-    return text + "\n }"
-
-
-def _write_records(path: str, records) -> None:
-    """Write the record strings as a JSON list, byte for byte what
-    json.dump(..., indent=1) writes for the same records, plus a newline.
-    Records are written in batches of 1024, never as one whole text."""
+def _write_clique_report(path: str, found, tagged, n: int) -> None:
+    """Write the clique report: byte for byte what json.dump(..., indent=1)
+    writes, plus a newline, for the records {"blocks", "size", "tag",
+    "point", "line"} of the cliques in found, None values left out.
+    tagged[i] classifies found[i], or is () for no tag; n is the vertex
+    count. Each record is written as soon as it is made; tags are fixed
+    ASCII words, so they need no escaping."""
+    names = [str(i) for i in range(n)]  # each block index formatted once
     with open(path, "w", encoding="utf-8") as fh:
-        batch: list[str] = []
-        head = "[\n"  # what goes before the next batch
-        for record in records:
-            if len(batch) == 1024:
-                fh.write(head + ",\n".join(batch))
-                head, batch = ",\n", []
-            batch.append(record)
-        fh.write(head + ",\n".join(batch) + "\n]\n" if batch else "[]\n")
+        head = "[\n"  # what goes before the next record
+        for blocks, t in zip(found, tagged):
+            tag, point, line = t or (None, None, None)
+            fh.write(head + ' {\n  "blocks": [\n   ' + ",\n   ".join(map(names.__getitem__, blocks))
+                     + f'\n  ],\n  "size": {len(blocks)}'
+                     + (f',\n  "tag": "{tag}"' if tag is not None else "")
+                     + (f',\n  "point": {point}' if point is not None else "")
+                     + (f',\n  "line": {line}' if line is not None else "") + "\n }")
+            head = ",\n"
+        fh.write("[]\n" if head == "[\n" else "\n]\n")
 
 
 def cmd_onan(args) -> int:

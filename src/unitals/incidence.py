@@ -496,7 +496,7 @@ def read_json(path) -> IncidenceStructure:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise GeometryError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)
 

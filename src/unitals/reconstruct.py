@@ -21,8 +21,9 @@ machinery. It colors the points of the disjoint union of the two
 structures by refinement, which splits cells only against the cells that
 just split (a one-cell start is done at once), and needs each color to
 hold as many points of one as of the other; then it backtracks within
-the color classes: a point on two claimed blocks goes first, and a
-block claims a host only if no image of another point lies on it.
+the color classes: a point on two claimed blocks goes first, the search
+stays next to the points already mapped, and a block claims a host only
+if no image of another point lies on it.
 """
 
 from __future__ import annotations
@@ -146,8 +147,14 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     deterministic, candidates ascending; the next point is the lowest free
     one in the first non-empty tier of: points on two claimed blocks (the
     image is a meet of hosts), points on claimed blocks none of which
-    holds three assigned points, points on no claimed block, any free
-    point. The tiers are bitsets kept on assign and restored on undo.
+    holds three assigned points, points on no claimed block sharing a
+    block with an assigned point, any free point (the first point, and
+    the first of each component). So a path or a tree grows out from its
+    first point, rather than fixing its mirror image at far-apart points
+    whose clash shows only once the points between them are filled. The
+    tiers are bitsets kept on assign and restored on undo; the points
+    sharing a block with an assigned point are gathered only while a free
+    point lies outside them, which in a linear space is only once.
     """
     n = S1.num_points
     pb1, bm1 = S1.point_blocks, S1.block_masks
@@ -162,19 +169,23 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
     sigma: list[int | None] = [None] * n
     assigned_in = [0] * len(hosts)  # assigned points per S1 block
     used = 0                        # S2 points taken
-    # S1 points: free ones, those on one and on two claimed blocks, and
-    # those on a claimed block holding three or more assigned points
-    free, on1, on2, heavy = (1 << n) - 1, 0, 0, 0
+    # S1 points: free ones, those on one and on two claimed blocks, those
+    # on a claimed block holding three or more assigned points, and those
+    # sharing a block with an assigned point
+    free, on1, on2, heavy, touched = (1 << n) - 1, 0, 0, 0, 0
 
     def try_assign(p: int, h: int):
         """Apply sigma[p] = h; return its undo record, or None when a block
         through p is left without a host or claims one holding another
         image."""
-        nonlocal used, free, on1, on2, heavy
-        record = [(b, hosts[b]) for b in pb1[p]], on1, on2, heavy
+        nonlocal used, free, on1, on2, heavy, touched
+        record = [(b, hosts[b]) for b in pb1[p]], on1, on2, heavy, touched
         sigma[p] = h
         used |= 1 << h
         free ^= 1 << p
+        if free & ~touched:
+            for b in pb1[p]:
+                touched |= bm1[b]
         for b in pb1[p]:
             assigned_in[b] += 1
         for b, old in record[0]:
@@ -193,8 +204,8 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         return record
 
     def undo(p: int, h: int, record) -> None:
-        nonlocal used, free, on1, on2, heavy
-        saved, on1, on2, heavy = record
+        nonlocal used, free, on1, on2, heavy, touched
+        saved, on1, on2, heavy, touched = record
         for b, old in saved:
             hosts[b] = old
             assigned_in[b] -= 1
@@ -203,7 +214,7 @@ def _map_points(S1: IncidenceStructure, S2: IncidenceStructure,
         free |= 1 << p
 
     def pick() -> int | None:
-        for tier in (on2 & free, on1 & ~heavy & free, free & ~on1, free):
+        for tier in (on2 & free, on1 & ~heavy & free, touched & free & ~on1, free):
             if tier:
                 return (tier & -tier).bit_length() - 1
         return None

@@ -164,13 +164,18 @@ def test_cliques_report_is_the_stdlib_encoding(tmp_path, blocks, flags):
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_clique_records_are_written_whole_across_batches(tmp_path, count):
+    # counts on and around multiples of 1024 records; the file's buffer,
+    # not the writer, batches the writes
     records = [{"blocks": [i, i + 1], "size": 2, "tag": "near_pencil", "point": i, "line": 0}
                for i in range(count)]
-    names = [str(i) for i in range(count + 1)]
+    found = [(i, i + 1) for i in range(count)]
     path = tmp_path / "report.json"
-    cli._write_records(path, (cli._clique_record(names, r["blocks"], "near_pencil", r["point"], 0)
-                              for r in records))
+    cli._write_clique_report(path, found, [("near_pencil", i, 0) for i in range(count)],
+                             count + 1)
     assert path.read_text() == json.dumps(records, indent=1) + "\n"
+    cli._write_clique_report(path, found, [()] * count, count + 1)
+    assert path.read_text() == json.dumps([{"blocks": list(c), "size": 2} for c in found],
+                                          indent=1) + "\n"
 
 
 def test_cliques_max_only(capsys, h3_json):
@@ -620,6 +625,19 @@ def test_undecodable_file_is_usage_error(tmp_path, capsys, command, content, pos
     assert capsys.readouterr() == (
         "", f"error: 'utf-8' codec can't decode byte 0xff in position {position}: "
             "invalid start byte\n")
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    # the decoder recurses once per bracket; running out of stack is a
+    # refusal of the file (exit 2), not an internal error; the message
+    # after the prefix is the interpreter's own
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": "incidence-v1", "num_points": 3, "blocks": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run("graph", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: invalid JSON: ")
 
 
 def test_bad_json_is_usage_error(tmp_path):

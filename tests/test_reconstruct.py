@@ -412,6 +412,25 @@ def test_isomorphic_on_a_long_path_is_fast():
     assert time.perf_counter() - start < 4.0
 
 
+def _seeded_tree(n, seed):
+    rng = random.Random(seed)
+    return IncidenceStructure(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("name", ["path", "tree"])
+def test_isomorphic_on_a_relabelled_path_or_tree_is_fast(name):
+    # a two-point block claims its host only once both points are mapped,
+    # so the search must pick points next to mapped ones: the lowest free
+    # point anywhere fixes the mirror image at far-apart points, and
+    # backtracking over their clashes takes exponential time
+    original = _path(3000) if name == "path" else _seeded_tree(3000, 5)
+    relabelled = _seeded_relabelling(original, 3)
+    start = time.perf_counter()
+    witness = isomorphic(relabelled, original)
+    assert time.perf_counter() - start < 2.0
+    _check_witness(relabelled, original, witness)
+
+
 def test_isomorphic_agrees_with_brute_force_on_small_structures():
     rng = random.Random(2024)
     kinds = set()
