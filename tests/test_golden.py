@@ -32,6 +32,7 @@ INPUTS = {
     "h2": ("build", "hermitian", "--q", "2"),
     "h3": ("build", "hermitian", "--q", "3"),
     "h4": ("build", "hermitian", "--q", "4"),
+    "h5": ("build", "hermitian", "--q", "5"),
     "ag3": ("build", "ag", "--q", "3"),
     "ag3-line": ("build", "puncture", "--q", "3", "--delete", "line"),
     "ag3-swap": ("build", "puncture", "--q", "3", "--delete", "line-swap"),
@@ -67,6 +68,8 @@ def _cases():
         cases[f"cliques-max-h{q}"] = ("cliques", h, "--max-only")
         cases[f"cliques-classify-h{q}"] = ("cliques", h, "--classify", "--json", "report.json")
         cases[f"onan-h{q}"] = ("onan", h)
+    # 63,126 maximal cliques, and their report
+    cases["cliques-classify-h5"] = ("cliques", "{h5}", "--classify", "--json", "report.json")
     cases["graph-h2-stdout"] = ("graph", "{h2}")
     cases["srg-h3-mismatch"] = ("srg", "{h3}", "--expect-unital", "4")
     cases["onan-pg4-conic"] = ("onan", "{pg4-conic}")
@@ -78,7 +81,7 @@ def _cases():
         for name in (f"ag{q}-line", f"ag{q}-swap", f"pg{q}-conic"):
             cases[f"classify-linspace-{name}"] = ("classify-linspace", f"{{{name}}}", "--q",
                                                   str(q), "--embed", "--json", "report.json")
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5):
         cases[f"reconstruct-h{q}"] = ("reconstruct", f"{{h{q}-dimacs}}", "-o", "rebuilt.json",
                                       "--verify", f"{{h{q}}}")
     cases["cliques-classify-ag3-minus-class"] = ("cliques", "{ag3-minus-class}", "--classify")
@@ -125,6 +128,7 @@ GOLDEN = {
     "cliques-classify-h2": "cc3da1deb1192aa0608f0daeb6f67c7cf97928eed9c34c72e7e231feaa327a2c",
     "cliques-classify-h3": "e892fb87a04fce6cd3e19a3b5bb90309643891899bc240e5aaf7b412a576e5d2",
     "cliques-classify-h4": "9a5cefdba2c446f746b5a758b4f0eb372b4046962549888a8e05ef114e192b42",
+    "cliques-classify-h5": "130f83a34d47f1b7e8aebb95ded37890465cb4ba145657fefd794118b369fa92",
     "cliques-classify-json-ag2": "fb21df0f841911ea0d8955f868704b3e3928088d32b0513c3756bf64211f6f78",
     "cliques-classify-json-ag3-minus-class": "33227b35261de108dc44241448a6056c032dde54e94c8f5db5ba2dc84b987844",
     "cliques-classify-json-pg3-conic": "b544167e6b53a554cfa6eac7ebcb3eca01d2e3f27b2341bdc4f9228665ac9a3e",
@@ -155,6 +159,7 @@ GOLDEN = {
     "reconstruct-h2": "0258f7f54bf953af369ec02b04ea146d58a85125bc574cd47caa191221f988ec",
     "reconstruct-h3": "6ebddaf7d5c64c6cc2581dbcdd7a5772257abb25ce0ba14e926ea40393f08c1d",
     "reconstruct-h4": "1f877fe9ffab61097f8e3f44c46edbde538a53a615923f7568c22e7f0b0862e2",
+    "reconstruct-h5": "80449200ec2782e0e3b53c658cfa7ba84e66c901add7950063be1b6ae2c40b9f",
     "srg-h2": "d9f1ecc269ddfba5f502cea3826986d5b853dd7107790341d382aa636f231295",
     "srg-h3": "944a59c66cd8fe5fb69d09e75b06714f1fbf1aec6940828c1c5178834c55970f",
     "srg-h3-mismatch": "496b853ab55591e98b9b7428739ef7bacdb72237c0b7da99f728e62c2eeaf33a",
@@ -178,7 +183,7 @@ def _build_inputs(root: Path) -> dict:
         paths[name] = str(root / f"{name}.json")
         with redirect_stdout(io.StringIO()):
             assert main([*argv, "-o", paths[name]]) == 0, name
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5):
         paths[f"h{q}-dimacs"] = str(root / f"h{q}.dimacs")
         assert main(["graph", paths[f"h{q}"], "-o", paths[f"h{q}-dimacs"]]) == 0
     # AG(2,3) without the parallel class of block 0: a partial linear space
