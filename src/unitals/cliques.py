@@ -1,5 +1,60 @@
 """Maximal-clique enumeration and structural classification.
 
+enumerate_maximal_cliques first tries a certified route, which lists the
+maximal cliques of the confluence graph of an O'Nan-free unital of order
+q > 2 with no search beyond one clique per point, and hands over to the
+pivoted branch-and-bound enumerator, _bron_kerbosch, on any failed step.
+
+Lemma. In a partial linear space, let K be a maximal set of pairwise
+meeting lines holding no O'Nan configuration (4 lines meeting pairwise in
+6 distinct points). Then K is a pencil or a near pencil N(u, A): the line
+A plus the join of u with each point of A, for a point u off A.
+Proof. If all lines of K share a point, K is that point's pencil.
+Otherwise K holds a triangle A, B, C with vertices u = B.C, v = A.C and
+w = A.B. Every other D in K passes through exactly one vertex: missing all
+three would make A, B, C, D an O'Nan configuration, and two vertices span
+one of A, B, C. If D passed through u and E through v, then A, B, D, E
+would meet pairwise in w, A.D, v, u, B.E and D.E; each coincidence among
+these forces D or E to be A, B or C, so the six are distinct, an O'Nan
+configuration. So, up to naming, every line of K but A passes through u,
+K lies in the clique N(u, A), and K = N(u, A) by maximality.
+In a unital of order q >= 2 with no O'Nan configuration, every pencil
+and every N(u, A) is maximal. A line off p meets only q + 1 of the q^2
+lines through p, so no line extends a pencil. A line E extending N(u, A)
+misses u (a line through u and a point of A is a join), so it meets A in
+one point y; two joins through points x1, x2 of A other than y, with A
+and E, meet pairwise in x1, x2, u, y and two points of E, six distinct
+points, an O'Nan configuration. A near pencil of q + 2 >= 3 lines fixes
+u, the one point on q + 1 of them (two such points would lie on q >= 2
+common lines), and A, the line off u; so the near pencils N(u, A) are
+distinct, and for q > 2 no pencil has their size.
+
+The certified route. With q from confluence.infer_order (q > 2), cover
+the lowest uncovered edge {i, j} by i, j and a clique of q^2 - 2 vertices
+inside rows[i] & rows[j], found by a first-hit include/exclude search,
+until every edge is covered; no edge may be covered twice. Then the
+cliques partition the edges, and the rest follows from the degree
+k = (q + 1)(q^2 - 1) that infer_order checked, with no further test:
+- a vertex lies in exactly q + 1 cliques, as each covers q^2 - 1 of its
+  k edges, so there are n (q + 1) / q^2 = q^3 + 1 cliques, and the
+  cliques through a vertex cover its row;
+- two vertices share at most one clique, or their edge would be covered
+  twice, and two cliques share at most one vertex, for the same reason;
+- so the dual structure, whose points are the cliques and whose block v
+  holds the cliques through vertex v, has distinct blocks of q + 1 points,
+  and n (q + 1) q / 2 = (q^3 + 1) q^3 / 2 pairs of its q^3 + 1 points lie
+  in a block each, so it is a unital of order q whose confluence graph is
+  G (vertices are adjacent exactly when a clique holds both). The q^3 + 1
+  cliques are its pencils.
+One O'Nan scan of the dual, count_onan(dual, limit=1) == 0, is the last
+step. By the lemma the maximal cliques of G are then exactly the q^3 + 1
+pencils and the n (q^3 - q) near pencils N(u, A): vertex A plus the one
+vertex of u's clique in each clique through A, for each clique u not
+through A. The route returns them as sorted tuples, sorted, as the
+enumerator would. It hands over at q = 2, where a near pencil has q^2
+blocks too, so the cliques of size q^2 through an edge are not only
+pencils.
+
 The enumerator is a pivoted branch-and-bound over bitset candidate/excluded
 sets, drained from a flat worklist (no recursion, so no depth limit). The
 pivot is the candidate with the most neighbors among the candidates,
@@ -37,11 +92,12 @@ the tag with the pencil's point, or the near pencil's apex p and L.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
-from .confluence import ConfluenceGraph
+from .confluence import ConfluenceGraph, infer_order
 from .errors import GeometryError
-from .incidence import IncidenceStructure, _bits
+from .incidence import IncidenceStructure, _bits, count_onan
 
 
 class CliqueClassification(NamedTuple):
@@ -51,7 +107,80 @@ class CliqueClassification(NamedTuple):
 
 
 def enumerate_maximal_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]]:
-    """Every inclusion-maximal clique exactly once, lexicographically sorted."""
+    """Every inclusion-maximal clique exactly once, lexicographically sorted:
+    by the certified route when G passes it, else by branch-and-bound."""
+    found = _certified_cliques(G)
+    return _bron_kerbosch(G) if found is None else found
+
+
+def _certified_cliques(G: ConfluenceGraph) -> list[tuple[int, ...]] | None:
+    """The pencils and near pencils of the unital whose confluence graph G
+    is, certified as its maximal cliques, or None when a step fails."""
+    q = infer_order(G)
+    if q is None or q == 2:
+        return None
+    rows = G.rows
+    uncovered = list(rows)  # each vertex's edges that no clique covers yet
+    cliques: list[int] = []
+    through: list[list[int]] = [[] for _ in rows]  # the cliques holding each vertex
+    for i, row in enumerate(uncovered):
+        # uncovered stays symmetric, so each j here is above i
+        while row:
+            j = (row & -row).bit_length() - 1
+            rest = _clique_of_size(rows, rows[i] & rows[j], q * q - 2)
+            if not rest:
+                return None
+            members = rest | 1 << i | 1 << j
+            for v in _bits(members):
+                others = members ^ 1 << v
+                if others & ~uncovered[v]:
+                    return None  # an edge is covered twice
+                uncovered[v] ^= others
+                through[v].append(len(cliques))
+            cliques.append(members)
+            row = uncovered[i]
+    if count_onan(IncidenceStructure(len(cliques), through), limit=1):
+        return None
+    meet = [[0] * len(cliques) for _ in cliques]  # the vertex two cliques share
+    for v, held in enumerate(through):
+        for a, b in combinations(held, 2):
+            meet[a][b] = meet[b][a] = v
+    out = [tuple(_bits(members)) for members in cliques]
+    for a, held in enumerate(through):
+        # joins[k]: the vertex that clique k shares with each clique through a
+        for k, joins in enumerate(zip(*map(meet.__getitem__, held))):
+            if not cliques[k] >> a & 1:
+                out.append(tuple(sorted((a, *joins))))
+    out.sort()
+    return out
+
+
+def _clique_of_size(rows, P: int, need: int) -> int:
+    """A clique of need >= 1 vertices inside P, as a bitset, or 0 if there
+    is none: depth first, each lowest candidate included before it is
+    excluded, cutting a branch whose candidates cannot fill it."""
+    clique = size = 0
+    suspended: list[tuple[int, int]] = []  # (candidates without v, v's bit)
+    while size < need:
+        if size + P.bit_count() < need:
+            if not suspended:
+                return 0
+            P, low = suspended.pop()
+            clique ^= low
+            size -= 1
+            continue
+        low = P & -P
+        P ^= low
+        suspended.append((P, low))
+        clique |= low
+        size += 1
+        P &= rows[low.bit_length() - 1]
+    return clique
+
+
+def _bron_kerbosch(G: ConfluenceGraph) -> list[tuple[int, ...]]:
+    """Every inclusion-maximal clique exactly once, lexicographically
+    sorted, by the pivoted branch-and-bound."""
     n = G.n
     if n == 0:
         return []

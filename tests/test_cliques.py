@@ -11,6 +11,7 @@ from support import (
     block_sets,
     buekenhout_metz_unital,
     classify_clique_oracle,
+    double_edge_swap,
     graph_from_edges,
     naive_maximal_cliques,
     near_pencil,
@@ -19,7 +20,10 @@ from support import (
     sweep_graph,
 )
 
+import unitals.cliques as cliques_mod
 from unitals.cliques import (
+    _bron_kerbosch,
+    _certified_cliques,
     classify_clique,
     enumerate_maximal_cliques,
     max_clique_size,
@@ -28,6 +32,7 @@ from unitals.confluence import (
     ConfluenceGraph,
     build_confluence,
     expected_unital_params,
+    infer_order,
     srg_check,
 )
 from unitals.errors import GeometryError
@@ -395,6 +400,97 @@ def test_networkx_agrees_on_buekenhout_metz_unital():
     found = enumerate_maximal_cliques(G)
     assert len(found) == 2512
     assert sorted(tuple(sorted(c)) for c in nx.find_cliques(H)) == found
+
+
+# --- the certified route against the branch-and-bound ---
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_certified_route_lists_the_branch_and_bound_cliques(q):
+    S = hermitian_unital(q)
+    G = build_confluence(S)
+    found = _certified_cliques(G)
+    assert found == _bron_kerbosch(G)
+    assert enumerate_maximal_cliques(G) == found
+    blocks = len(S.blocks)
+    assert len(found) == q**3 + 1 + blocks * (q**3 - q)  # pencils, near pencils
+
+
+def _circulant_63():
+    """Z_63 with i ~ j when they differ by 1..16: 32-regular on 63 vertices,
+    and its maximal cliques are the 63 runs of 17 consecutive vertices."""
+    return graph_from_edges(63, [(i, (i + d) % 63) for i in range(63) for d in range(1, 17)])
+
+
+class _RouteSpy:
+    """Records what the route's search and O'Nan scan returned."""
+
+    def __init__(self, monkeypatch):
+        self.searches, self.scans = [], []
+        search, scan = cliques_mod._clique_of_size, cliques_mod.count_onan
+
+        def spy_search(rows, P, need):
+            self.searches.append(search(rows, P, need))
+            return self.searches[-1]
+
+        def spy_scan(S, limit=0):
+            self.scans.append((limit, scan(S, limit)))
+            return self.scans[-1][1]
+
+        monkeypatch.setattr(cliques_mod, "_clique_of_size", spy_search)
+        monkeypatch.setattr(cliques_mod, "count_onan", spy_scan)
+
+
+def _route_graphs():
+    """name -> (graph, the step of the certificate it fails, or "none")"""
+    h3, h4 = build_confluence(hermitian_unital(3)), build_confluence(hermitian_unital(4))
+    graphs = {
+        "triangle": (_k3(), "order"),
+        "k3333": (build_confluence(hermitian_unital(2)), "q=2"),
+        "circulant63": (_circulant_63(), "covered twice"),
+        "bm3": (build_confluence(buekenhout_metz_unital(4)), "onan"),
+        "h3": (h3, "none"),
+    }
+    for seed in range(3):
+        graphs[f"h3-swap{seed}"] = (double_edge_swap(h3, seed), "no clique")
+        graphs[f"h4-swap{seed}"] = (double_edge_swap(h4, seed), "no clique")
+    return graphs
+
+
+ROUTE_GRAPHS = _route_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_each_certificate_step_is_reached(name, monkeypatch):
+    G, step = ROUTE_GRAPHS[name]
+    spy = _RouteSpy(monkeypatch)
+    found = _certified_cliques(G)
+    assert (found is None) == (step != "none")
+    q = infer_order(G)
+    if step in ("order", "q=2"):
+        assert q == (None if step == "order" else 2)
+        assert spy.searches == spy.scans == []
+    elif step == "no clique":
+        # every search before the last found a clique
+        assert q in (3, 4) and spy.searches[-1] == 0 and all(spy.searches[:-1])
+        assert spy.scans == []
+    elif step == "covered twice":
+        assert q == 3 and all(spy.searches) and spy.scans == []
+    else:  # one search per pencil, then one scan
+        assert q == 3 and len(spy.searches) == 28 and all(spy.searches)
+        assert spy.scans == [(1, 0 if step == "none" else 1)]
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GRAPHS))
+def test_route_graphs_give_the_reference_cliques(name):
+    G, _ = ROUTE_GRAPHS[name]
+    found = enumerate_maximal_cliques(G)
+    if name == "circulant63":
+        assert found == sorted(tuple(sorted((i + d) % 63 for d in range(17)))
+                               for i in range(63))
+    elif G.n <= 64:
+        assert found == naive_maximal_cliques(G)
+    else:
+        assert found == _bron_kerbosch(G)
 
 
 # --- star property ---
