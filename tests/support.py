@@ -189,6 +189,25 @@ def block_sets(S) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(b) for b in S.blocks)
 
 
+def onan_oracle(S) -> list[tuple[int, int, int, int]]:
+    """Every O'Nan configuration of S, as its ascending block quadruple, by
+    an unpruned loop over all 4-subsets of blocks: four blocks whose six
+    pairs each meet in one point, the six points distinct."""
+    hits = []
+    sets = block_sets(S)
+    for quad in combinations(range(len(S.blocks)), 4):
+        meets = []
+        for i, j in combinations(quad, 2):
+            common = sets[i] & sets[j]
+            if len(common) != 1:
+                break
+            meets.append(next(iter(common)))
+        else:
+            if len(set(meets)) == 6:
+                hits.append(quad)
+    return hits
+
+
 def pg_data_oracle(field) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
     """Points and line rows of PG(2,q) over the field GF(q) by testing every
     point against every line: the O(N^2) reference for incidence._pg_data."""

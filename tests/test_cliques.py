@@ -15,6 +15,7 @@ from support import (
     graph_from_edges,
     naive_maximal_cliques,
     near_pencil,
+    onan_oracle,
     star_failures,
     subset_filter_cliques,
     sweep_graph,
@@ -389,6 +390,19 @@ def test_buekenhout_metz_unital_cliques():
     assert Counter((t.tag, len(set(c))) for t, c in zip(tagged, found)) == {
         ("pencil", 9): 28, ("near_pencil", 5): 1512, ("other", 5): 972}
     assert sorted(t.point for t in tagged if t.tag == "pencil") == list(range(28))
+
+
+def test_buekenhout_metz_other_cliques_each_hold_an_onan_configuration():
+    # the lemma behind the Hermitian census, checked on bm3 by the
+    # brute-force oracle: each of the 972 maximal cliques that is neither a
+    # pencil nor a near pencil holds an O'Nan configuration, and no pencil
+    # or near pencil holds one
+    bm3 = buekenhout_metz_unital(4)
+    holds = Counter()
+    for c in enumerate_maximal_cliques(build_confluence(bm3)):
+        lines = IncidenceStructure(bm3.num_points, [bm3.blocks[b] for b in c])
+        holds[classify_clique(bm3, c).tag, bool(onan_oracle(lines))] += 1
+    assert holds == {("pencil", False): 28, ("near_pencil", False): 1512, ("other", True): 972}
 
 
 def test_networkx_agrees_on_buekenhout_metz_unital():

@@ -1,5 +1,6 @@
 """Incidence structures: constructions, searches, serialization."""
 
+import functools
 import json
 import random
 import re
@@ -17,6 +18,7 @@ from support import (
     json_rejection_oracle,
     linearity_oracle,
     near_pencil,
+    onan_oracle,
     pair_coverage,
     pg_data_oracle,
     validate_unital_oracle,
@@ -394,24 +396,6 @@ def test_near_pencil_rejects_incident_pair(h3):
 
 # --- configuration search ---
 
-def _onan_oracle(S):
-    """Unpruned quadruple loop over all 4-subsets of blocks."""
-    hits = []
-    sets = block_sets(S)
-    for quad in combinations(range(len(S.blocks)), 4):
-        meets = []
-        ok = True
-        for i, j in combinations(quad, 2):
-            common = sets[i] & sets[j]
-            if len(common) != 1:
-                ok = False
-                break
-            meets.append(next(iter(common)))
-        if ok and len(set(meets)) == 6:
-            hits.append(quad)
-    return hits
-
-
 def test_onan_hermitian_empty(h3, h2):
     assert find_onan(h3) == []
     assert find_onan(h2) == []
@@ -422,7 +406,20 @@ def _seeded_puncture(q, size, seed):
     return puncture(plane, random.Random(seed).sample(range(plane.num_points), size))
 
 
-# partial linear spaces: all but pg2 have non-meeting blocks, all but ag3 hits
+def _block_subset(S, blocks):
+    """The structure on S's points whose blocks are those of S indexed by
+    `blocks`: a partial linear space whenever S is one."""
+    return IncidenceStructure(S.num_points, [S.blocks[b] for b in blocks])
+
+
+def _seeded_block_subset(S, size, seed):
+    return _block_subset(S, random.Random(seed).sample(range(len(S.blocks)), size))
+
+
+# partial linear spaces: all but pg2 have non-meeting blocks, all but ag3
+# and the h3 inputs hit; in the bm3 subsets some meeting pairs lie in a
+# configuration and others do not, and h3 less a point has lines of 3 and
+# 4 points
 _ONAN_INPUTS = {
     "pg2": (lambda: projective_plane(2), 7),
     "ag3": (lambda: affine_plane(3), 0),
@@ -432,6 +429,12 @@ _ONAN_INPUTS = {
     "pg3-seed1": (lambda: _seeded_puncture(3, 3, 1), None),
     "pg4-seed2": (lambda: _seeded_puncture(4, 4, 2), None),
     "pg5-seed3": (lambda: _seeded_puncture(5, 5, 3), None),
+    "bm3-24-seed1": (lambda: _seeded_block_subset(buekenhout_metz_unital(4), 24, 1), None),
+    "bm3-24-seed2": (lambda: _seeded_block_subset(buekenhout_metz_unital(4), 24, 2), None),
+    "bm3-24-seed3": (lambda: _seeded_block_subset(buekenhout_metz_unital(4), 24, 3), None),
+    "h3-24-seed1": (lambda: _seeded_block_subset(hermitian_unital(3), 24, 1), 0),
+    "h3-24-seed2": (lambda: _seeded_block_subset(hermitian_unital(3), 24, 2), 0),
+    "h3-less-a-point": (lambda: puncture(hermitian_unital(3), [0]), 0),
 }
 
 
@@ -440,7 +443,7 @@ def test_onan_matches_oracle(name):
     build, count = _ONAN_INPUTS[name]
     S = build()
     found = find_onan(S)
-    assert [c.blocks for c in found] == _onan_oracle(S)
+    assert [c.blocks for c in found] == onan_oracle(S)
     if count is not None:
         assert len(found) == count
     for k in (1, 5, 37):
@@ -452,6 +455,32 @@ def test_count_onan_is_the_length_of_find_onan(name):
     S = _ONAN_INPUTS[name][0]()
     for k in (0, 1, 5, 37, 10**6):
         assert count_onan(S, k) == len(find_onan(S, k))
+
+
+_ONAN_BASES = {
+    "pg3": lambda: projective_plane(3),
+    "h3": lambda: hermitian_unital(3),
+    "bm3": lambda: buekenhout_metz_unital(4),
+}
+
+
+@functools.cache
+def _onan_base(name):
+    return _ONAN_BASES[name]()
+
+
+@given(st.sampled_from(sorted(_ONAN_BASES)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.sets(st.integers(0, len(_onan_base(name).blocks) - 1), max_size=30))))
+@settings(max_examples=60, deadline=None)
+def test_onan_scan_matches_oracle_on_block_subsets(base_and_blocks):
+    name, blocks = base_and_blocks
+    S = _block_subset(_onan_base(name), sorted(blocks))
+    hits = onan_oracle(S)
+    assert [c.blocks for c in find_onan(S)] == hits
+    assert count_onan(S, 0) == len(hits)
+    for k in (1, 5):
+        assert count_onan(S, k) == min(len(hits), k)
 
 
 def test_count_onan_builds_no_configuration(monkeypatch):
@@ -473,7 +502,7 @@ def test_count_onan_rejects_what_find_onan_rejects():
 
 
 def test_onan_oracle_agreement_on_h2(h2):
-    assert [c.blocks for c in find_onan(h2)] == _onan_oracle(h2)
+    assert [c.blocks for c in find_onan(h2)] == onan_oracle(h2)
 
 
 def test_onan_respects_limit():
