@@ -360,18 +360,29 @@ def _onan_scan(S: IncidenceStructure, limit: int,
     one point on all four. Every l left in the last bitset completes a
     configuration, so each (i, j, k) adds that bitset's popcount to the
     count.
+
+    A pair test decides first, in one walk of the candidates k of (i, j),
+    whether the pair lies in any configuration: OR together each k's
+    points off i and j, and stop at the first overlap. With none, no two
+    candidates k, l complete one, since their meet kl would be off i and
+    j: were it on i, it would be ik = il and l would lie in the pencil of
+    ik, and likewise on j. So the pair is skipped; a pair with an overlap
+    runs the k/l loop, in the same order as without the test. Two
+    candidates meeting off i and j do complete one, so a pair fails the
+    test exactly when it is the first two blocks of a configuration; with
+    no configuration, every pair is skipped.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if not validate(S).is_partial_linear:
         raise ValueError("input is not a partial linear space")
     rows, masks, pencils = S.block_rows, S.block_masks, S.pencil_masks
-    nb = len(S.blocks)
+    above = [row >> (b + 1) << (b + 1) for b, row in enumerate(rows)]  # meeting blocks after b
+    points = (1 << S.num_points) - 1
     count = 0
     found: list[OnanConfiguration] = []
-    for i in range(nb):
-        bi = masks[i]
-        above_i = rows[i] >> (i + 1) << (i + 1)
+    for i, bi in enumerate(masks):
+        above_i = above[i]
         mj = above_i
         while mj:
             jbit = mj & -mj
@@ -379,7 +390,17 @@ def _onan_scan(S: IncidenceStructure, limit: int,
             mj ^= jbit
             bj = masks[j]
             ij = (bi & bj).bit_length() - 1
-            cand_k = above_i & rows[j] >> (j + 1) << (j + 1) & ~pencils[ij]
+            cand_k = above_i & above[j] & ~pencils[ij]
+            off_ij, seen, mk = points ^ (bi | bj), 0, cand_k
+            while mk:  # the pair test, from the top: its order is free
+                k = mk.bit_length() - 1
+                mk ^= 1 << k
+                off = masks[k] & off_ij
+                if seen & off:
+                    break
+                seen |= off
+            else:
+                continue
             mk = cand_k
             while mk:
                 kbit = mk & -mk
@@ -388,7 +409,7 @@ def _onan_scan(S: IncidenceStructure, limit: int,
                 bk = masks[k]
                 ik = (bi & bk).bit_length() - 1
                 jk = (bj & bk).bit_length() - 1
-                ml = cand_k & rows[k] >> (k + 1) << (k + 1) & ~(pencils[ik] | pencils[jk])
+                ml = cand_k & above[k] & ~(pencils[ik] | pencils[jk])
                 if not ml:
                     continue
                 count += ml.bit_count()

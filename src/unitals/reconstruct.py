@@ -290,8 +290,10 @@ def _refined_colors(S1: IncidenceStructure,
     multiset fixes the number of blocks of each size.
     """
     n1 = S1.num_points
-    keys = [tuple(sorted(len(S.blocks[b]) for b in pb))
-            for S in (S1, S2) for pb in S.point_blocks]
+    keys = []
+    for S in (S1, S2):
+        sizes = list(map(len, S.blocks))
+        keys += [tuple(sorted(map(sizes.__getitem__, pb))) for pb in S.point_blocks]
     palette = {k: c for c, k in enumerate(sorted(set(keys)))}
     colors = [palette[k] for k in keys]
     cells: list[set[int]] = [set() for _ in palette]

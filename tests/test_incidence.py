@@ -483,6 +483,26 @@ def test_onan_scan_matches_oracle_on_block_subsets(base_and_blocks):
         assert count_onan(S, k) == min(len(hits), k)
 
 
+class _CountedReads(tuple):
+    reads = 0
+
+    def __getitem__(self, index):
+        type(self).reads += 1
+        return super().__getitem__(index)
+
+
+def test_onan_scan_decides_each_pair_of_a_hermitian_unital_in_one_walk(monkeypatch):
+    # h3 holds no configuration, so every meeting pair i < j fails the pair
+    # test and reads only the pencil of its meet: no pair reaches the k/l
+    # loop, which reads the pencils of ik and jk
+    S = hermitian_unital(3)
+    pairs = sum(map(int.bit_count, S.block_rows)) // 2
+    monkeypatch.setattr(_CountedReads, "reads", 0)
+    S.__dict__["pencil_masks"] = _CountedReads(S.pencil_masks)
+    assert count_onan(S) == 0
+    assert _CountedReads.reads == pairs
+
+
 def test_count_onan_builds_no_configuration(monkeypatch):
     S = puncture(projective_plane(4), conic_points(4))
 
