@@ -378,7 +378,7 @@ def _onan_scan(S: IncidenceStructure, limit: int,
         raise ValueError("input is not a partial linear space")
     rows, masks, pencils = S.block_rows, S.block_masks, S.pencil_masks
     above = [row >> (b + 1) << (b + 1) for b, row in enumerate(rows)]  # meeting blocks after b
-    points = (1 << S.num_points) - 1
+    points = (1 << S.num_points) - 1  # points ^ x, not ~x: a negative operand slows each &
     count = 0
     found: list[OnanConfiguration] = []
     for i, bi in enumerate(masks):
